@@ -19,12 +19,12 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -173,6 +173,22 @@ size_t UsableCpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+/// Confines the calling thread, and every thread it starts from then on,
+/// to the highest-numbered usable CPU.
+bool PinToOneCpu() {
+  cpu_set_t usable;
+  CPU_ZERO(&usable);
+  if (sched_getaffinity(0, sizeof(usable), &usable) != 0) return false;
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
+    if (!CPU_ISSET(cpu, &usable)) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  return false;
+}
+
 double CpuSeconds() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -180,18 +196,6 @@ double CpuSeconds() {
     return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
   };
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
-}
-
-/// Peak resident set of this process image, MiB. VmHWM rather than
-/// getrusage's ru_maxrss, which keeps the peak of the process that
-/// exec'd the driver.
-double PeakRssMb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) return std::atof(line.c_str() + 6) / 1024;
-  }
-  return 0;
 }
 
 /// Names the filesystem `path` sits on: its type and the mount holding it.
@@ -291,18 +295,20 @@ Result<std::unique_ptr<Fleet>> SetUp(const WorkloadSpec& spec, uint64_t seed,
   return fleet;
 }
 
-/// Work done between laps of a measured train, given the seconds measured
-/// so far; its time is not counted in any Run().
-using BetweenLaps = std::function<Status(double elapsed)>;
-
 /// Measures whole laps of the train until `seconds` have passed and the
 /// run holds at least kMinTargets targets. An untraced run drops each
 /// release's per-target outcomes once checked, so its footprint does not
 /// grow with the number of releases it reaches; a traced run keeps them
 /// for the replay's fidelity check.
+///
+/// With `reconnects`, the fleet's recovery is timed between laps as well:
+/// spec.recovery_reps reconnects spread evenly over `seconds`. Spread out,
+/// they see the host the train sees. Back to back after the train, a
+/// hundred fleet rebuilds (~0.6 s) saw the host's short swings, and their
+/// median spread by 28% across runs.
 Result<TrainRun> MeasureTrain(Fleet& fleet, OutputChecker& checker,
                               double seconds, bool traced,
-                              const BetweenLaps& between_laps = nullptr) {
+                              std::vector<double>* reconnects = nullptr) {
   const double hard_stop = traced ? kTracedHardStopSeconds : kHardStopSeconds;
   const WorkloadSpec& spec = *fleet.spec;
   Train train(spec, fleet.seed, fleet);
@@ -325,7 +331,17 @@ Result<TrainRun> MeasureTrain(Fleet& fleet, OutputChecker& checker,
       }
       run.releases.push_back(std::move(*release));
     }
-    if (between_laps) ERIC_RETURN_IF_ERROR(between_laps(SecondsSince(start)));
+    if (reconnects != nullptr) {
+      const auto due = std::min<size_t>(
+          spec.recovery_reps,
+          static_cast<size_t>(std::ceil(static_cast<double>(spec.recovery_reps) *
+                                        SecondsSince(start) / seconds)));
+      while (reconnects->size() < due) {
+        auto took = fleet.Reconnect();
+        if (!took.ok()) return took.status();
+        reconnects->push_back(*took);
+      }
+    }
     const double elapsed = SecondsSince(start);
     if ((elapsed >= seconds && run.targets >= kMinTargets) ||
         elapsed >= hard_stop) {
@@ -353,10 +369,9 @@ Result<std::vector<double>> RecoverStorage(const std::string& state_dir,
   return times;
 }
 
-/// A memory-only fleet has no state to replay: its recovery re-enrolls
-/// every device from its seed (what storage recovery replays) and, on the
-/// wire workload, re-establishes every connection, handshakes included.
-/// Returns the time of one such rebuild.
+/// An in-process memory-only fleet has no state to replay: its recovery
+/// re-enrolls every device from its seed, which is what storage recovery
+/// replays. Returns the time of one such rebuild.
 Result<double> TimeRebuild(const WorkloadSpec& spec, uint64_t seed) {
   const auto start = Clock::now();
   auto fleet = SetUpFleet(spec, seed, "");
@@ -391,29 +406,13 @@ int RunUntraced(const WorkloadSpec& spec, const Args& args,
     fleet = std::move(*made);
   }
 
-  // A memory-only fleet's rebuilds are spread across the measured train
-  // instead of run back to back at its end. Half a second of samples sees
-  // the host's short-term swings (a fixed CPU loop varies by ±12% from one
-  // 80 ms iteration to the next here); samples from the whole run average
-  // them, as the train's own metrics do.
+  // Recovery. The wire fleet reconnects every device, between laps of
+  // the train. A durable fleet replays its state directory, and an
+  // in-process memory-only fleet is rebuilt from its seeds; both run once
+  // the measured fleet is gone, so only one fleet is ever alive.
   std::vector<double> recovery_times;
-  BetweenLaps rebuild_between_laps;
-  double next_rebuild_s = 0;
-  if (!spec.durable) {
-    rebuild_between_laps = [&](double elapsed) -> Status {
-      if (elapsed < next_rebuild_s ||
-          recovery_times.size() >= spec.recovery_reps) {
-        return Status::Ok();
-      }
-      next_rebuild_s = elapsed + args.seconds / spec.recovery_reps;
-      auto rebuilt = TimeRebuild(spec, args.seed);
-      if (!rebuilt.ok()) return rebuilt.status();
-      recovery_times.push_back(*rebuilt);
-      return Status::Ok();
-    };
-  }
   auto train = MeasureTrain(*fleet, checker, args.seconds, false,
-                            rebuild_between_laps);
+                            spec.wire ? &recovery_times : nullptr);
   if (!train.ok()) return Fail("campaign failed: " + train.status().ToString());
 
   if (spec.durable) {
@@ -423,7 +422,7 @@ int RunUntraced(const WorkloadSpec& spec, const Args& args,
     auto times = RecoverStorage(dir, devices, spec.recovery_reps);
     if (!times.ok()) return Fail("recovery failed: " + times.status().ToString());
     recovery_times = *times;
-  } else {
+  } else if (!spec.wire) {
     fleet.reset();
     while (recovery_times.size() < spec.recovery_reps) {
       auto rebuilt = TimeRebuild(spec, args.seed);
@@ -457,7 +456,9 @@ int RunUntraced(const WorkloadSpec& spec, const Args& args,
   report.Set("cpu_ms_per_target", cpu_s * 1000 / targets);
   report.Set("setup_s", Median(setup_times));
   report.Set("recovery_s", Median(recovery_times));
-  report.Set("peak_rss_mb", PeakRssMb());
+  // VmHWM rather than getrusage's ru_maxrss, which keeps the peak of the
+  // process that exec'd the driver.
+  report.Set("peak_rss_mb", static_cast<double>(StatusKb("VmHWM:")) / 1024);
   report.correct = checker.mismatches() == 0;
 
   char line[256];
@@ -481,7 +482,9 @@ int RunUntraced(const WorkloadSpec& spec, const Args& args,
   std::snprintf(line, sizeof line,
                 "  setup_s median of %zu set-ups, recovery_s median of %zu %s",
                 setup_times.size(), recovery_times.size(),
-                spec.durable ? "storage recoveries" : "fleet rebuilds");
+                spec.durable ? "storage recoveries"
+                : spec.wire  ? "reconnects"
+                             : "fleet rebuilds");
   report.Note(line);
   const auto range = [](const char* name, std::vector<double> v) {
     std::sort(v.begin(), v.end());
@@ -875,14 +878,25 @@ int Main(int argc, char** argv) {
                 " connections; only " + std::to_string(cpus) + " CPUs usable");
   }
 
+  // The wire workload's worker and both loop threads hand every delivery
+  // along a strictly serial chain. Spread over CPUs, each hand-off lets a
+  // virtual CPU halt and be woken again, and how long that takes depends
+  // on the host's load: between two sets of runs of identical code the
+  // p95 spread rose from 10% to 54%. On one CPU the chain keeps that CPU
+  // busy and a hand-off is a context switch. Every thread the workload
+  // starts inherits the pin from this one.
+  if (spec->wire && !PinToOneCpu()) {
+    return Fail("cannot pin the wire workload to one CPU");
+  }
+
   const std::string root = args.state_root + "/" + spec->name + "-" +
                            std::to_string(::getpid());
   fs::remove_all(root);
   fs::create_directories(root);
-  std::printf("%s: %zu workers + %zu transport threads on %zu CPUs; state "
-              "directory on %s\n",
-              spec->name, spec->workers, spec->loop_threads(), cpus,
-              FilesystemOf(root).c_str());
+  std::printf("%s: %zu workers + %zu transport threads on %zu of %zu CPUs; "
+              "state directory on %s\n",
+              spec->name, spec->workers, spec->loop_threads(), UsableCpus(),
+              cpus, FilesystemOf(root).c_str());
   const int code = args.trace == 0 ? RunUntraced(*spec, args, root, process_start)
                                    : RunTraced(*spec, args, root);
   std::error_code ec;

@@ -71,13 +71,13 @@ const std::vector<WorkloadSpec>& AllSpecs() {
       // fsync-bound, and fsync latency on a shared virtual disk swung its
       // p95 by 44% between runs (see README.md, "Noise rules").
       {Kind::kDeltaTrain, "delta_train", 4, 64, 0, 0, false, false, "full", 2,
-       3, 0.01, 3, 5, 5},
+       3, 0.01, 3, 5, 12},
       // One worker: with two, workers plus the two loop threads occupy
       // every CPU and the p95 swung by 64% between runs.
       // A lap of six ships each of the three programs once in full and
-      // once as a delta.
+      // once as a delta. Its recoveries are reconnects of ~0.3 ms each.
       {Kind::kWireTrain, "wire_train", 1, 4, 0, 0, false, true, "full", 1, 2,
-       0.0, 6, 30, 60},
+       0.0, 6, 60, 1500},
   };
   return specs;
 }
@@ -99,6 +99,24 @@ Fleet::~Fleet() {
   registry.reset();
 }
 
+Result<double> Fleet::Reconnect() {
+  if (clients != nullptr) clients->Stop();
+  const auto start = Clock::now();
+  net::SimClientFleetConfig config;
+  config.port = server->port();
+  config.devices = devices;
+  clients = std::make_unique<net::SimClientFleet>(std::move(config));
+  ERIC_RETURN_IF_ERROR(clients->Start());
+  // A device's new hello supersedes its old connection on the server, so
+  // once every device has its acknowledgement the server delivers over
+  // the new connections.
+  if (!clients->WaitForHandshakes(30'000) ||
+      !server->WaitForDevices(devices.size(), 30'000)) {
+    return Status(ErrorCode::kUnavailable, "device handshakes timed out");
+  }
+  return SecondsSince(start);
+}
+
 Result<std::unique_ptr<Fleet>> SetUpFleet(const WorkloadSpec& spec,
                                           uint64_t seed,
                                           const std::string& state_dir) {
@@ -110,7 +128,7 @@ Result<std::unique_ptr<Fleet>> SetUpFleet(const WorkloadSpec& spec,
     fleet->state_dir = state_dir;
     ERIC_RETURN_IF_ERROR(fleet->registry->OpenStorage(state_dir));
   }
-  const int64_t rss_before = CurrentRssKb();
+  const int64_t rss_before = StatusKb("VmRSS:");
   const auto enroll_start = Clock::now();
   Xoshiro256 rng(Mix(seed, kDeviceSalt));
   for (size_t g = 0; g < spec.groups; ++g) {
@@ -130,23 +148,15 @@ Result<std::unique_ptr<Fleet>> SetUpFleet(const WorkloadSpec& spec,
     }
   }
   fleet->enroll_s = SecondsSince(enroll_start);
-  fleet->rss_growth_kb = CurrentRssKb() - rss_before;
+  fleet->rss_growth_kb = StatusKb("VmRSS:") - rss_before;
   if (spec.wire) {
     // One server and one connection per device; set-up ends when every
     // device has completed its handshake.
     fleet->server = std::make_unique<net::FleetServer>();
     ERIC_RETURN_IF_ERROR(fleet->server->Start());
-    const auto connect_start = Clock::now();
-    net::SimClientFleetConfig config;
-    config.port = fleet->server->port();
-    config.devices = fleet->devices;
-    fleet->clients = std::make_unique<net::SimClientFleet>(std::move(config));
-    ERIC_RETURN_IF_ERROR(fleet->clients->Start());
-    if (!fleet->clients->WaitForHandshakes(30'000) ||
-        !fleet->server->WaitForDevices(fleet->devices.size(), 30'000)) {
-      return Status(ErrorCode::kUnavailable, "device handshakes timed out");
-    }
-    fleet->connect_s = SecondsSince(connect_start);
+    auto connected = fleet->Reconnect();
+    if (!connected.ok()) return connected.status();
+    fleet->connect_s = *connected;
   }
   // Every release is a new program, so a cache holding more than a few
   // releases' artifacts only grows; a small one reaches its steady size
@@ -167,8 +177,10 @@ Train::Train(const WorkloadSpec& spec, uint64_t seed, const Fleet& fleet)
   order_.resize(spec.kind == Kind::kMibenchRollout ? std::size(kKernels)
                                                    : std::size(kDeltaRounds));
   for (size_t i = 0; i < order_.size(); ++i) order_[i] = static_cast<int>(i);
+  // The seed orders every program of a lap but the last. The last is
+  // also the base release, so every seed's set-up does the same work.
   Xoshiro256 rng(Mix(seed, kOrderSalt));
-  std::shuffle(order_.begin(), order_.end(), rng);
+  std::shuffle(order_.begin(), order_.end() - 1, rng);
   if (has_base()) {
     // The base is the lap's last program, so the first measured release
     // makes the same transition as every later lap's first release.
@@ -433,11 +445,13 @@ int PrintPins() {
   return 0;
 }
 
-int64_t CurrentRssKb() {
+int64_t StatusKb(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) return std::atoll(line.c_str() + 6);
+    if (line.rfind(field, 0) == 0) {
+      return std::atoll(line.c_str() + field.size());
+    }
   }
   return 0;
 }

@@ -88,6 +88,12 @@ class Fleet {
   std::unique_ptr<eric::net::SimClientFleet> clients;
   std::vector<DeviceId> devices;  ///< enrollment order, group by group
 
+  /// Drops every device's connection and connects the fleet again: stops
+  /// the simulated devices, starts a new set for the same devices and
+  /// waits until each has completed its handshake. Returns the seconds
+  /// from the new set's start until the last handshake.
+  eric::Result<double> Reconnect();
+
   double enroll_s = 0;        ///< Enroll loop (PUF enrollment)
   double connect_s = 0;       ///< SimClientFleet::Start + handshakes
   int64_t rss_growth_kb = 0;  ///< resident set growth across enrollment
@@ -183,7 +189,8 @@ const ProgramCounts* PinnedCounts(const std::string& program,
 /// device's HDE. Used to regenerate pinned.h after a deliberate change.
 int PrintPins();
 
-/// Resident set size of this process, KiB (0 when unavailable).
-int64_t CurrentRssKb();
+/// A KiB field of /proc/self/status such as "VmRSS:" (current resident
+/// set) or "VmHWM:" (its peak); 0 when unavailable.
+int64_t StatusKb(const std::string& field);
 
 }  // namespace perfbench

@@ -13,8 +13,9 @@ double Median(std::vector<double> samples) {
                     : (samples[n / 2 - 1] + samples[n / 2]) / 2;
 }
 
-std::optional<Tail> TailQuantile(std::vector<double> samples, double q,
-                                 size_t min_beyond) {
+std::optional<Tail> TailQuantile(std::vector<double> samples, double q) {
+  // A tail is reported only when this many samples lie beyond it.
+  constexpr size_t kMinBeyond = 10;
   if (samples.empty() || q <= 0 || q >= 1) return std::nullopt;
   std::sort(samples.begin(), samples.end());
   const size_t n = samples.size();
@@ -26,7 +27,7 @@ std::optional<Tail> TailQuantile(std::vector<double> samples, double q,
   tail.value = samples[rank - 1];
   tail.samples = n;
   tail.beyond = n - rank;
-  if (tail.beyond < min_beyond) return std::nullopt;
+  if (tail.beyond < kMinBeyond) return std::nullopt;
   return tail;
 }
 

@@ -21,11 +21,9 @@ struct Tail {
 };
 
 /// The nearest-rank `q` quantile of `samples` (0 < q < 1): the value at
-/// 1-based rank ceil(q * n). Returns nothing when fewer than
-/// `min_beyond` samples rank above it — a p95 needs at least 200
-/// samples before ten lie beyond it.
-std::optional<Tail> TailQuantile(std::vector<double> samples, double q,
-                                 size_t min_beyond = 10);
+/// 1-based rank ceil(q * n). Returns nothing when fewer than ten
+/// samples rank above it — a p95 needs at least 200 samples.
+std::optional<Tail> TailQuantile(std::vector<double> samples, double q);
 
 /// A closed time interval, in any unit.
 struct Interval {
