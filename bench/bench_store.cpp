@@ -3,10 +3,10 @@
 //
 // Part 1 — append throughput by sync policy. Four worker threads append
 // fixed-size records under each policy: fsync-per-append (the durability
-// ceiling), group commit at several gather windows (one fsync covers a
-// batch of concurrent appends), and no-fsync (the OS-cache floor). After
-// each run the log is replayed to prove every acknowledged record is
-// present and intact — throughput that loses records is not throughput.
+// ceiling), group commit (one fsync covers a batch of concurrent
+// appends), and no-fsync (the OS-cache floor). After each run the log is
+// replayed to prove every acknowledged record is present and intact —
+// throughput that loses records is not throughput.
 //
 // Part 2 — cold-start recovery vs fleet size. A registry state directory
 // is populated by enrollment, then reopened cold: once replaying the raw
@@ -44,7 +44,6 @@ namespace fs = std::filesystem;
 
 struct AppendPoint {
   std::string mode;
-  uint32_t window_us = 0;
   double appends_per_second = 0;
   uint64_t records = 0;
   bool intact = false;  ///< replay found every record undamaged
@@ -72,9 +71,6 @@ AppendPoint BenchAppends(const std::string& mode_name,
                          size_t total_appends, int index) {
   AppendPoint point;
   point.mode = mode_name;
-  point.window_us = options.sync == store::SyncMode::kGroupCommit
-                        ? options.group_commit_window_us
-                        : 0;
   const std::string dir = FreshDir("append", index);
   const std::string path = dir + "/bench.wal";
 
@@ -147,14 +143,11 @@ int main(int argc, char** argv) {
   struct ModeSpec {
     const char* name;
     store::SyncMode sync;
-    uint32_t window_us;
   };
   const ModeSpec modes[] = {
-      {"fsync-per-append", store::SyncMode::kEveryAppend, 0},
-      {"group-commit", store::SyncMode::kGroupCommit, 0},
-      {"group-commit", store::SyncMode::kGroupCommit, 200},
-      {"group-commit", store::SyncMode::kGroupCommit, 1000},
-      {"no-fsync", store::SyncMode::kNever, 0},
+      {"fsync-per-append", store::SyncMode::kEveryAppend},
+      {"group-commit", store::SyncMode::kGroupCommit},
+      {"no-fsync", store::SyncMode::kNever},
   };
   std::vector<AppendPoint> appends;
   bool all_intact = true;
@@ -162,12 +155,11 @@ int main(int argc, char** argv) {
   for (const auto& mode : modes) {
     store::WalOptions options;
     options.sync = mode.sync;
-    options.group_commit_window_us = mode.window_us;
     AppendPoint point =
         BenchAppends(mode.name, options, kThreads, append_total, index++);
     all_intact = all_intact && point.intact;
-    std::printf("  %-16s window %5u us  %9.0f appends/s  %s\n", point.mode.c_str(),
-                point.window_us, point.appends_per_second,
+    std::printf("  %-16s %9.0f appends/s  %s\n", point.mode.c_str(),
+                point.appends_per_second,
                 point.intact ? "(replay intact)" : "REPLAY DAMAGED");
     appends.push_back(point);
   }
@@ -250,7 +242,6 @@ int main(int argc, char** argv) {
   for (const auto& point : appends) {
     json.BeginObject();
     json.Field("mode", point.mode);
-    json.Field("window_us", point.window_us);
     json.Field("appends_per_second", point.appends_per_second);
     json.Field("records", point.records);
     json.Field("intact", point.intact);

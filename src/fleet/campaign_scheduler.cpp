@@ -112,6 +112,21 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
     scheduled.bytes_shipped += wave.report.bytes_shipped;
     scheduled.bytes_full_equivalent += wave.report.bytes_full_equivalent;
     scheduled.manifest_update_failures += wave.report.manifest_update_failures;
+    scheduled.rollbacks += wave.report.rollbacks;
+    scheduled.health_failures += wave.report.health_failures;
+    scheduled.cache_artifact_hits += wave.report.cache_artifact_hits;
+    scheduled.cache_artifact_misses += wave.report.cache_artifact_misses;
+    scheduled.cache_compile_misses += wave.report.cache_compile_misses;
+    for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+      const CampaignIsaStats& slice = wave.report.by_isa[i];
+      CampaignIsaStats& total = scheduled.by_isa[i];
+      total.targets += slice.targets;
+      total.succeeded += slice.succeeded;
+      total.deliveries += slice.deliveries;
+      total.bytes_shipped += slice.bytes_shipped;
+      total.seal_builds += slice.seal_builds;
+      total.compile_builds += slice.compile_builds;
+    }
     if (control != nullptr) control->NoteWaveCompleted();
 
     // A cancel observed by the engine surfaces as skipped targets; stop
@@ -143,6 +158,10 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
   }
 
   scheduled.wall_ms = MillisecondsSince(start);
+  if (scheduled.wall_ms > 0) {
+    scheduled.devices_per_second =
+        static_cast<double>(scheduled.targets) / (scheduled.wall_ms / 1000.0);
+  }
   scheduled.peak_in_flight = governor.peak_in_flight();
   return scheduled;
 }

@@ -6,8 +6,7 @@
 
 namespace eric::fleet {
 
-Result<RotationReport> RotationCampaign::Run(const RotationConfig& config,
-                                             CampaignControl* control) {
+Result<RotationReport> RotationCampaign::Rekey(const RotationConfig& config) {
   if (config.group == kNoGroup) {
     return Status(ErrorCode::kInvalidArgument,
                   "rotation campaign requires a device group");
@@ -43,6 +42,13 @@ Result<RotationReport> RotationCampaign::Run(const RotationConfig& config,
         cache_.InvalidateKeyFingerprint(rotation->old_key_fingerprint);
     report.invalidate_ms = MillisecondsSince(invalidate_start);
   }
+  return report;
+}
+
+Result<RotationReport> RotationCampaign::Run(const RotationConfig& config,
+                                             CampaignControl* control) {
+  auto report = Rekey(config);
+  if (!report.ok()) return report.status();
 
   // 3. Redeploy under the rollout policy. Every seal now happens under
   // the new epoch (the engine reads each device's SealingContext), so a
@@ -53,7 +59,7 @@ Result<RotationReport> RotationCampaign::Run(const RotationConfig& config,
   CampaignScheduler scheduler(engine_, registry_);
   auto rollout = scheduler.Run(redeploy, config.rollout, control);
   if (!rollout.ok()) return rollout.status();
-  report.rollout = std::move(*rollout);
+  report->rollout = std::move(*rollout);
   return report;
 }
 

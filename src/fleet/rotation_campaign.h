@@ -17,6 +17,10 @@
 //                sealed under the new epoch, and the members' HDEs —
 //                already rotated in step 1 — reject anything older.
 //
+// Steps 1-2 are public as Rekey(), so a caller that owns its own
+// scheduled rollout (eric_fleetd) runs them as a pre-step and then its
+// ordinary scheduler call; Run() is exactly Rekey() plus step 3.
+//
 // Crash safety composes with the campaign journal: eric_fleetd journals
 // a rotation with CampaignJournal::BeginRotation *before* step 1, so a
 // kill -9 anywhere in the sequence resumes to the same target epoch
@@ -58,7 +62,8 @@ struct RotationReport {
   size_t artifacts_invalidated = 0;  ///< stale artifacts dropped, targeted
   double bump_ms = 0;        ///< epoch bump + member re-provisioning time
   double invalidate_ms = 0;  ///< targeted cache invalidation time
-  ScheduledReport rollout;   ///< the redeploy's per-wave report
+  ScheduledReport rollout;   ///< the redeploy's per-wave report (empty
+                             ///< after Rekey() alone)
 };
 
 /// Drives bump -> targeted invalidation -> scheduled redeploy.
@@ -75,10 +80,18 @@ class RotationCampaign {
                    PackageCache& cache)
       : engine_(engine), registry_(registry), cache_(cache) {}
 
-  /// Runs one rotation campaign. `control` may be null; when present it
-  /// carries pause/cancel and the durable checkpoint sink exactly as for
-  /// a plain scheduled campaign. Fails fast on configuration errors
-  /// (unknown group, kNoGroup); redeploy failures land in the report.
+  /// Steps 1-2 only: bumps `config.group` to its target epoch and drops
+  /// the retired key's artifacts. `config.campaign` and `config.rollout`
+  /// are ignored and the returned report's rollout is empty; the caller
+  /// redeploys. Fails fast on configuration errors (unknown group,
+  /// kNoGroup).
+  Result<RotationReport> Rekey(const RotationConfig& config);
+
+  /// Runs one rotation campaign: Rekey(), then the scheduled redeploy.
+  /// `control` may be null; when present it carries pause/cancel and the
+  /// durable checkpoint sink exactly as for a plain scheduled campaign.
+  /// Fails fast on configuration errors (unknown group, kNoGroup);
+  /// redeploy failures land in the report.
   Result<RotationReport> Run(const RotationConfig& config,
                              CampaignControl* control = nullptr);
 

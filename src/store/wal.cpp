@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cerrno>
 #include <cstring>
-#include <thread>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -269,14 +268,10 @@ Status Wal::SyncLocked(uint64_t my_seq) {
                     "wal poisoned by an fsync failure");
     }
     if (!sync_in_progress_) {
-      // Become the batch leader: optionally gather more writers, then one
-      // fsync covers every record written before it.
+      // Become the batch leader: one fsync covers every record written
+      // before it.
       sync_in_progress_ = true;
       lock.unlock();
-      if (options_.group_commit_window_us > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.group_commit_window_us));
-      }
       uint64_t covered = 0;
       {
         std::lock_guard write_lock(write_mutex_);

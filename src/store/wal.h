@@ -66,12 +66,10 @@ std::string_view SyncModeName(SyncMode mode);
 
 /// Durability policy for one log.
 struct WalOptions {
-  /// Sync policy applied by Append().
+  /// Sync policy applied by Append(). Under kGroupCommit the batch
+  /// leader fsyncs at once; batching emerges from fsync latency, since
+  /// writers that arrive mid-fsync join the next batch.
   SyncMode sync = SyncMode::kGroupCommit;
-  /// Group-commit gather window, microseconds. 0 = the leader fsyncs
-  /// immediately (batching still emerges from fsync latency: writers that
-  /// arrive mid-fsync join the next batch). Ignored outside kGroupCommit.
-  uint32_t group_commit_window_us = 0;
 };
 
 /// One replayed record: the type tag and payload exactly as appended.

@@ -733,6 +733,43 @@ TEST(RotationTest, RotationCampaignInvalidatesTargetedAndRedeploys) {
   EXPECT_EQ(again->rollout.succeeded, 4u);
 }
 
+// Rekey is the rotation's pre-step alone: bump + targeted invalidation,
+// no redeploy, and idempotent when replayed to the same target epoch.
+TEST(RotationTest, RekeyBumpsAndInvalidatesWithoutRedeploying) {
+  DeviceRegistry registry;
+  const GroupId group = registry.CreateGroup("rotating");
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(registry.Enroll(0x501 + i, group).ok());
+  }
+  PackageCache cache;
+  DeploymentEngine engine(registry, cache);
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.group = group;
+  ASSERT_TRUE(engine.Run(campaign).ok());
+
+  RotationConfig rotation_config;
+  rotation_config.group = group;
+  RotationCampaign rotation(engine, registry, cache);
+  auto rekeyed = rotation.Rekey(rotation_config);
+  ASSERT_TRUE(rekeyed.ok());
+  EXPECT_TRUE(rekeyed->bumped);
+  EXPECT_EQ(rekeyed->new_epoch, 1u);
+  EXPECT_EQ(rekeyed->members_rekeyed, 3u);
+  EXPECT_EQ(rekeyed->artifacts_invalidated, 1u);
+  EXPECT_EQ(rekeyed->rollout.targets, 0u);
+  EXPECT_TRUE(rekeyed->rollout.waves.empty());
+
+  // A resume replays the journaled epoch: nothing bumps twice.
+  rotation_config.target_epoch = 1;
+  auto replayed = rotation.Rekey(rotation_config);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_FALSE(replayed->bumped);
+  EXPECT_EQ(replayed->new_epoch, 1u);
+  EXPECT_EQ(replayed->artifacts_invalidated, 0u);
+  EXPECT_EQ(registry.GroupEpoch(group).value(), 1u);
+}
+
 // --- DeploymentEngine ---------------------------------------------------------
 
 struct FleetFixture {
@@ -906,6 +943,113 @@ TEST(CampaignSchedulerTest, RollingWavesPartitionAndCompleteExactlyOnce) {
     misses += wave.report.cache_artifact_misses;
   }
   EXPECT_EQ(misses, 1u);
+}
+
+// With the default policy a scheduled campaign is the flat campaign: one
+// wave, no canary, every total equal to that wave's engine report.
+TEST(CampaignSchedulerTest, DefaultPolicyIsOneFlatWave) {
+  GroupId group;
+  FleetFixture fleet(5, &group);
+  DeploymentEngine engine(fleet.registry, fleet.cache);
+  CampaignScheduler scheduler(engine, fleet.registry);
+
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.group = group;
+  campaign.workers = 2;
+
+  auto report = scheduler.Run(campaign, SchedulerConfig{});
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->outcome, CampaignOutcome::kCompleted);
+  ASSERT_EQ(report->waves.size(), 1u);
+  EXPECT_FALSE(report->waves[0].canary);
+  const CampaignReport& wave = report->waves[0].report;
+  EXPECT_EQ(report->targets, 5u);
+  EXPECT_EQ(report->succeeded, wave.succeeded);
+  EXPECT_EQ(report->deliveries, wave.deliveries);
+  EXPECT_EQ(report->cache_artifact_hits, wave.cache_artifact_hits);
+  EXPECT_EQ(report->cache_artifact_misses, 1u);
+  EXPECT_EQ(report->peak_in_flight, wave.peak_in_flight);
+  EXPECT_GT(report->devices_per_second, 0.0);
+}
+
+// The scheduler is the one place per-wave statistics are summed, so
+// every campaign-level total must equal the sum over its waves —
+// including the agent, cache, and per-ISA counts.
+TEST(CampaignSchedulerTest, TotalsAreTheSumOverWaves) {
+  DeviceRegistry registry;
+  PackageCache cache;
+  const GroupId group = registry.CreateGroup("mixed");
+  std::vector<DeviceId> devices;
+  for (uint64_t i = 0; i < 9; ++i) {
+    auto id = registry.Enroll(
+        0xA66 + i, group,
+        i % 3 == 2 ? isa::IsaId::kRv32I : isa::IsaId::kRv64Gc);
+    ASSERT_TRUE(id.ok());
+    devices.push_back(*id);
+  }
+  // One device fails its first post-flip self-test, rolls back, and
+  // succeeds on its retry.
+  ASSERT_TRUE(registry.ArmAgentHealthFailures(devices[4], 1).ok());
+  DeploymentEngine engine(registry, cache);
+  CampaignScheduler scheduler(engine, registry);
+
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.group = group;
+  campaign.workers = 2;
+  campaign.max_attempts = 2;
+
+  SchedulerConfig policy;
+  policy.canary_size = 2;
+  policy.canary_failure_threshold = 1.0;
+  policy.wave_size = 3;  // waves: canary 2, then 3 + 3 + 1
+
+  auto report = scheduler.Run(campaign, policy);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->outcome, CampaignOutcome::kCompleted);
+  ASSERT_EQ(report->waves.size(), 4u);
+  EXPECT_EQ(report->succeeded, 9u);
+  EXPECT_EQ(report->rollbacks, 1u);
+  EXPECT_EQ(report->health_failures, 1u);
+
+  ScheduledReport sum;
+  for (const auto& wave : report->waves) {
+    const CampaignReport& r = wave.report;
+    sum.rollbacks += r.rollbacks;
+    sum.health_failures += r.health_failures;
+    sum.cache_artifact_hits += r.cache_artifact_hits;
+    sum.cache_artifact_misses += r.cache_artifact_misses;
+    sum.cache_compile_misses += r.cache_compile_misses;
+    for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+      sum.by_isa[i].targets += r.by_isa[i].targets;
+      sum.by_isa[i].succeeded += r.by_isa[i].succeeded;
+      sum.by_isa[i].deliveries += r.by_isa[i].deliveries;
+      sum.by_isa[i].bytes_shipped += r.by_isa[i].bytes_shipped;
+      sum.by_isa[i].seal_builds += r.by_isa[i].seal_builds;
+      sum.by_isa[i].compile_builds += r.by_isa[i].compile_builds;
+    }
+  }
+  EXPECT_EQ(report->rollbacks, sum.rollbacks);
+  EXPECT_EQ(report->health_failures, sum.health_failures);
+  EXPECT_EQ(report->cache_artifact_hits, sum.cache_artifact_hits);
+  EXPECT_EQ(report->cache_artifact_misses, sum.cache_artifact_misses);
+  EXPECT_EQ(report->cache_compile_misses, sum.cache_compile_misses);
+  for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
+    EXPECT_EQ(report->by_isa[i].targets, sum.by_isa[i].targets);
+    EXPECT_EQ(report->by_isa[i].succeeded, sum.by_isa[i].succeeded);
+    EXPECT_EQ(report->by_isa[i].deliveries, sum.by_isa[i].deliveries);
+    EXPECT_EQ(report->by_isa[i].bytes_shipped, sum.by_isa[i].bytes_shipped);
+    EXPECT_EQ(report->by_isa[i].seal_builds, sum.by_isa[i].seal_builds);
+    EXPECT_EQ(report->by_isa[i].compile_builds,
+              sum.by_isa[i].compile_builds);
+  }
+  const auto rv32 = static_cast<size_t>(isa::IsaId::kRv32I);
+  const auto rv64 = static_cast<size_t>(isa::IsaId::kRv64Gc);
+  EXPECT_EQ(report->by_isa[rv32].targets, 3u);
+  EXPECT_EQ(report->by_isa[rv64].targets, 6u);
+  EXPECT_EQ(report->by_isa[rv32].targets + report->by_isa[rv64].targets,
+            report->targets);
 }
 
 // The acceptance scenario: a 1000-device campaign whose fault rate is

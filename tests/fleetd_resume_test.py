@@ -89,6 +89,21 @@ Mixed-ISA campaign:
      encodings), each active ISA compiled exactly once, and every
      device's durable manifest advanced to the campaign version
 
+Rejected flags leave the state dir usable:
+  1. a campaign with an out-of-range flag (--canary-threshold 1.5,
+     --listen -7, --rate -5) over a state dir exits 2 before it opens
+     the campaign journal
+  2. a plain campaign over the same state dir then runs and exits 0
+     (no stale "interrupted campaign" refusal)
+
+One report schema:
+  1. run a flat, a scheduled (canary + waves), and a rotation campaign
+     over one durable fleet, plus a resume with nothing left to do (the
+     end record of a finished campaign is cut off the journal, as if
+     the daemon died right after its last checkpoint)
+  2. assert every --json report has the same top-level keys, apart from
+     the rotation's "rotation" object
+
 Exactly-once is checked from the resume run's JSON: previously
 checkpointed targets plus this run's dispatched targets must partition
 the target set, and the resumed run must only have dispatched the
@@ -126,6 +141,8 @@ WAL_HEADER_SIZE = 8 + 8     # "ERICWAL1" magic + u64 fingerprint
 OUTCOME_RECORD_TYPES = (2, 5)
 # Health-watchdog stop record (breach paused/aborted the campaign).
 WATCHDOG_RECORD_TYPE = 6
+# Campaign end record (the journal's "this campaign is over").
+END_RECORD_TYPE = 3
 
 TINY_PROGRAM = """
 fn main() {
@@ -876,6 +893,90 @@ def soak_attempt(fleetd, workdir, attempt):
     return parsed
 
 
+def bad_flag_scenario(fleetd, workdir):
+    state_dir = os.path.join(workdir, "badflag-state")
+    base = [fleetd, "--devices", "4", "--state-dir", state_dir,
+            "--workload", "crc32"]
+    for bad in (["--canary", "1", "--canary-threshold", "1.5"],
+                ["--listen", "-7"], ["--rate", "-5"]):
+        result = subprocess.run(base + bad, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, text=True,
+                                timeout=DEADLINE_S)
+        if result.returncode != 2:
+            fail("%s exited %d, want 2 (usage error):\n%s" %
+                 (" ".join(bad), result.returncode, result.stdout))
+    plain = subprocess.run(base, stdout=subprocess.PIPE,
+                           stderr=subprocess.STDOUT, text=True,
+                           timeout=DEADLINE_S)
+    if plain.returncode != 0:
+        fail("plain campaign after rejected flags exited %d (state dir "
+             "left stuck?):\n%s" % (plain.returncode, plain.stdout))
+    print("PASS (rejected flags): out-of-range flags exit 2 before the "
+          "journal opens; the state dir then runs a plain campaign")
+
+
+def last_frame(journal_path):
+    """(type, offset) of the last complete WAL frame in `journal_path`."""
+    with open(journal_path, "rb") as f:
+        data = f.read()
+    last = None
+    pos = WAL_HEADER_SIZE
+    while pos + 9 <= len(data):
+        (length,) = struct.unpack_from("<I", data, pos)
+        if pos + 9 + length > len(data):
+            break
+        last = (data[pos + 4], pos)
+        pos += 9 + length
+    return last
+
+
+def report_schema_scenario(fleetd, workdir):
+    state_dir = os.path.join(workdir, "schema-state")
+    source = os.path.join(workdir, "tiny.eric")
+    with open(source, "w") as f:
+        f.write(TINY_PROGRAM)
+    journal = os.path.join(state_dir, "campaign.wal")
+    base = [fleetd, "--devices", "6", "--groups", str(GROUPS),
+            "--source", source, "--state-dir", state_dir]
+
+    def report(label, extra):
+        path = os.path.join(workdir, "schema-%s.json" % label)
+        return run_json(base + extra + ["--json", path], path,
+                        "%s campaign" % label)
+
+    reports = {"flat": report("flat", [])}
+    reports["scheduled"] = report("scheduled",
+                                  ["--canary", "1", "--wave-size", "2"])
+    # Cut the finished campaign's end record: the journal now reads as a
+    # daemon that died right after its last checkpoint.
+    frame = last_frame(journal)
+    if frame is None or frame[0] != END_RECORD_TYPE:
+        fail("finished campaign's journal does not end in an end record")
+    with open(journal, "r+b") as f:
+        f.truncate(frame[1])
+    idle = report("idle", ["--resume"])
+    if not idle["resumed"] or idle["devices"] != 0 or \
+            idle["previously_completed"] != 6:
+        fail("nothing-left resume report wrong: resumed=%s devices=%s "
+             "previously_completed=%s" % (idle["resumed"], idle["devices"],
+                                          idle["previously_completed"]))
+    reports["nothing-left resume"] = idle
+    reports["rotation"] = report("rotation", ["--rotate-epoch", "1"])
+    if "rotation" not in reports["rotation"]:
+        fail("rotation report carries no rotation object")
+
+    want = set(reports["flat"])
+    for label, body in reports.items():
+        keys = set(body) - {"rotation"}
+        if keys != want:
+            fail("%s report keys differ from the flat report's: missing %s, "
+                 "extra %s" % (label, sorted(want - keys),
+                               sorted(keys - want)))
+    print("PASS (report schema): flat, scheduled, rotation and "
+          "nothing-left-to-resume reports share %d top-level keys"
+          % len(want))
+
+
 def soak_scenario(fleetd, workdir):
     for attempt in range(3):
         parsed = soak_attempt(fleetd, workdir, attempt)
@@ -923,6 +1024,8 @@ def main():
         run_scenario("delta campaign", delta_attempt, fleetd, workdir,
                      DEVICES)
         soak_scenario(fleetd, workdir)
+        bad_flag_scenario(fleetd, workdir)
+        report_schema_scenario(fleetd, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

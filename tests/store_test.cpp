@@ -242,7 +242,6 @@ TEST(WalTest, GroupCommitConcurrentAppendsAllDurable) {
   {
     store::WalOptions options;
     options.sync = store::SyncMode::kGroupCommit;
-    options.group_commit_window_us = 200;
     store::Wal wal;
     ASSERT_TRUE(wal.Open(path, options).ok());
     std::atomic<int> errors{0};

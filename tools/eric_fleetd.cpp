@@ -23,13 +23,19 @@
 // revokes every K-th device before the campaign to show revocation
 // handling in the report.
 //
-// Any of --canary / --wave-size / --rate / --group-concurrency /
-// --pause-after / --shuffle routes the campaign through the
-// CampaignScheduler:
-// canary cohort first, rolling waves gated on the canary failure
-// threshold, token-bucket rate limiting, and a demonstration
-// pause/resume (--pause-after MS pauses the rollout that long into the
-// campaign, --pause-for MS holds it, then resumes).
+// Every campaign — plain, delta, rotation, or resumed — is one
+// CampaignScheduler rollout with one report, one --json schema, and one
+// exit-code rule (0 iff every non-revoked target succeeded). With no
+// rollout flag the rollout is a single wave with no canary and no
+// throttle. --canary N sends a canary cohort first, gated on
+// --canary-threshold P (failure fraction in [0, 1], default 0.1);
+// --wave-size N splits the rest into rolling waves; --shuffle samples
+// the cohorts across the whole fleet; --rate R (deliveries/s, 0 =
+// unlimited) and --burst B (default 1) token-bucket dispatch;
+// --group-concurrency N caps in-flight deliveries per group.
+// --pause-after MS pauses the rollout that long into the campaign,
+// holds it --pause-for MS (default 250), then resumes. --verbose lists
+// every device's outcome under its wave.
 //
 // --state-dir DIR makes the fleet durable: enrollments and revocations
 // are write-ahead logged (and snapshotted) under DIR, and every target's
@@ -53,8 +59,8 @@
 // --rotate-epoch GROUP runs a key-epoch rotation campaign instead of a
 // plain deployment: the named group's key epoch is bumped (durably
 // journaled under --state-dir), the package cache drops exactly that
-// group's sealed artifacts, and the group is redeployed under the
-// scheduler's canary/wave machinery with every package sealed under the
+// group's sealed artifacts, and the group is redeployed by the same
+// rollout as any other campaign, with every package sealed under the
 // new epoch. Killed mid-rotation, --resume --rotate-epoch GROUP finishes
 // the rotation exactly once at the journaled target epoch — stale-epoch
 // artifacts are never re-delivered (the members' rotated HDEs would
@@ -139,10 +145,10 @@ void Usage() {
       "                   [--attempts K] [--fault KIND] [--fault-rate P]\n"
       "                   [--latency-us U] [--mode M] [--fraction F]\n"
       "                   [--revoke K] [--source FILE] [--workload NAME]\n"
-      "                   [--canary N] [--canary-threshold P]\n"
-      "                   [--wave-size N] [--rate R] [--burst B]\n"
+      "                   [--canary N] [--canary-threshold P (0.1)]\n"
+      "                   [--wave-size N] [--rate R] [--burst B (1)]\n"
       "                   [--group-concurrency N] [--pause-after MS]\n"
-      "                   [--pause-for MS] [--shuffle]\n"
+      "                   [--pause-for MS (250)] [--shuffle]\n"
       "                   [--state-dir DIR] [--resume] [--snapshot-every N]\n"
       "                   [--rotate-epoch GROUP] [--json FILE] [--verbose]\n"
       "                   [--delta --base-source FILE]\n"
@@ -153,7 +159,9 @@ void Usage() {
       "                   [--ack-watchdog]\n"
       "                   [--listen PORT [--sim-clients N]]\n"
       "                   [--soak [--soak-profile short|long] "
-      "[--soak-seed N]]\n");
+      "[--soak-seed N]]\n"
+      "every campaign is one scheduled rollout; with no --canary/--wave-size/\n"
+      "--rate/--group-concurrency it is a single unthrottled wave\n");
 }
 
 /// Identity of a campaign for resume matching: FNV-1a over everything
@@ -195,17 +203,6 @@ uint64_t CampaignFingerprint(const std::string& source,
   return eric::store::Fnv1a64(rec.bytes());
 }
 
-/// Operator-facing durability warning, shared by the flat, scheduled,
-/// and rotation paths: the deliveries themselves stand, the affected
-/// devices simply mis-diff (and get full packages) next campaign.
-void WarnManifestFailures(uint64_t failures) {
-  if (failures == 0) return;
-  std::fprintf(stderr,
-               "warning: %llu delivered manifest update(s) could not be "
-               "made durable\n",
-               static_cast<unsigned long long>(failures));
-}
-
 /// Devices in `targets` whose manifest says they now run `version` —
 /// what the crash-resume test asserts campaign completion on.
 size_t CountManifestsAt(const fleet::DeviceRegistry& registry,
@@ -219,31 +216,6 @@ size_t CountManifestsAt(const fleet::DeviceRegistry& registry,
   return current;
 }
 
-/// Identity + resume arithmetic shared by every eric_fleetd report.
-/// One writer for these fields keeps the flat, scheduled, rotation, and
-/// nothing-left-to-resume JSON variants from drifting apart — the
-/// crash-resume test asserts on exactly this field set.
-struct ReportContext {
-  const std::string* program = nullptr;
-  const std::string* mode = nullptr;
-  bool resumed = false;
-  size_t previously_completed = 0;
-  uint64_t previously_failed = 0;
-  size_t original_targets = 0;
-  size_t fleet_devices = 0;
-};
-
-void WriteCommonJson(JsonWriter& json, const ReportContext& context) {
-  json.Field("tool", "eric_fleetd");
-  json.Field("program", *context.program);
-  json.Field("mode", *context.mode);
-  json.Field("resumed", context.resumed);
-  json.Field("previously_completed", context.previously_completed);
-  json.Field("previously_failed", context.previously_failed);
-  json.Field("original_targets", context.original_targets);
-  json.Field("fleet_devices", context.fleet_devices);
-}
-
 /// End-of-run telemetry snapshot embedded in every --json report, so
 /// one file carries the campaign's outcome and the telemetry that
 /// explains it: the metrics registry plus the structured event ring and
@@ -252,6 +224,17 @@ void WriteCommonJson(JsonWriter& json, const ReportContext& context) {
 void WriteTelemetryJson(JsonWriter& json) {
   json.Key("telemetry");
   obs::WriteSnapshotJson(json);
+}
+
+/// Writes a finished --json document; false (after saying why) when the
+/// file cannot be written.
+bool WriteJsonFile(const JsonWriter& json, const std::string& path) {
+  if (!json.WriteFile(path.c_str())) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 /// Per-ISA campaign slices as a JSON object keyed by ISA name. ISAs
@@ -282,7 +265,10 @@ void WriteIsaJson(
   json.EndObject();
 }
 
-void PrintScheduledReport(const fleet::ScheduledReport& report) {
+/// The console report of every campaign: one gate line per wave (with
+/// per-device outcomes under --verbose), then the campaign aggregates.
+void PrintReport(const fleet::ScheduledReport& report, bool verbose,
+                 bool delta) {
   for (const auto& wave : report.waves) {
     std::printf("  wave %zu%s: %llu targets, %llu ok / %llu failed / %llu "
                 "revoked, failure-rate %.2f%s\n",
@@ -293,6 +279,14 @@ void PrintScheduledReport(const fleet::ScheduledReport& report) {
                 static_cast<unsigned long long>(wave.report.revoked),
                 wave.failure_rate,
                 wave.gate_breached ? "  << GATE BREACHED" : "");
+    if (!verbose) continue;
+    for (const auto& outcome : wave.report.outcomes) {
+      std::printf("    device %llu: %s attempts=%u %s\n",
+                  static_cast<unsigned long long>(outcome.device),
+                  outcome.ok ? "ok" : (outcome.revoked ? "revoked" : "FAILED"),
+                  outcome.attempts,
+                  outcome.ok ? "" : outcome.last_status.ToString().c_str());
+    }
   }
   std::printf("\nresult: %s — %llu ok / %llu failed / %llu revoked, "
               "%llu never dispatched of %llu targets\n",
@@ -306,68 +300,60 @@ void PrintScheduledReport(const fleet::ScheduledReport& report) {
               static_cast<unsigned long long>(report.deliveries),
               static_cast<unsigned long long>(report.retries),
               static_cast<unsigned long long>(report.peak_in_flight));
-  std::printf("time:   %.1f ms wall\n", report.wall_ms);
-}
-
-void WriteScheduledJson(JsonWriter& json, const fleet::ScheduledReport& report) {
-  json.Field("outcome", fleet::CampaignOutcomeName(report.outcome));
-  json.Field("devices", report.targets);
-  json.Field("succeeded", report.succeeded);
-  json.Field("failed", report.failed);
-  json.Field("revoked", report.revoked);
-  json.Field("never_dispatched", report.never_dispatched);
-  json.Field("deliveries", report.deliveries);
-  json.Field("retries", report.retries);
-  json.Field("delta_deliveries", report.delta_deliveries);
-  json.Field("full_deliveries", report.full_deliveries);
-  json.Field("delta_fallbacks", report.delta_fallbacks);
-  json.Field("bytes_shipped", report.bytes_shipped);
-  json.Field("bytes_full_equivalent", report.bytes_full_equivalent);
-  json.Field("manifest_update_failures", report.manifest_update_failures);
-  json.Field("peak_in_flight", report.peak_in_flight);
-  json.Field("wall_ms", report.wall_ms);
-  // Per-ISA slices summed across waves: wave boundaries are a rollout
-  // policy, not an ISA property, so the report-level breakdown is the
-  // useful one.
-  std::array<fleet::CampaignIsaStats, isa::kNumIsaIds> by_isa{};
-  for (const auto& wave : report.waves) {
-    for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
-      const fleet::CampaignIsaStats& slice = wave.report.by_isa[i];
-      by_isa[i].targets += slice.targets;
-      by_isa[i].succeeded += slice.succeeded;
-      by_isa[i].deliveries += slice.deliveries;
-      by_isa[i].bytes_shipped += slice.bytes_shipped;
-      by_isa[i].seal_builds += slice.seal_builds;
-      by_isa[i].compile_builds += slice.compile_builds;
-    }
+  if (report.rollbacks > 0 || report.health_failures > 0) {
+    std::printf("agent:  %llu targets rolled back, %llu health "
+                "rejections\n",
+                static_cast<unsigned long long>(report.rollbacks),
+                static_cast<unsigned long long>(report.health_failures));
   }
-  WriteIsaJson(json, by_isa);
-  json.Key("waves");
-  json.BeginArray();
-  for (const auto& wave : report.waves) {
-    json.BeginObject();
-    json.Field("index", wave.wave_index);
-    json.Field("canary", wave.canary);
-    json.Field("trace_id", wave.report.trace_id);
-    json.Field("targets", wave.report.targets);
-    json.Field("succeeded", wave.report.succeeded);
-    json.Field("failed", wave.report.failed);
-    json.Field("failure_rate", wave.failure_rate);
-    json.Field("gate_breached", wave.gate_breached);
-    json.Field("wall_ms", wave.report.wall_ms);
-    json.EndObject();
+  if (delta) {
+    const double ratio =
+        report.bytes_full_equivalent == 0
+            ? 0.0
+            : static_cast<double>(report.bytes_shipped) /
+                  static_cast<double>(report.bytes_full_equivalent);
+    std::printf("delta:  %llu delta / %llu full deliveries (%llu fallbacks), "
+                "%llu of %llu bytes shipped (%.2fx)\n",
+                static_cast<unsigned long long>(report.delta_deliveries),
+                static_cast<unsigned long long>(report.full_deliveries),
+                static_cast<unsigned long long>(report.delta_fallbacks),
+                static_cast<unsigned long long>(report.bytes_shipped),
+                static_cast<unsigned long long>(report.bytes_full_equivalent),
+                ratio);
   }
-  json.EndArray();
-}
-
-/// Exit-code rule shared by the scheduled and rotation paths: complete
-/// means every non-revoked target of this run succeeded and no target
-/// was durably checkpointed as failed before a resume.
-bool ScheduledCampaignComplete(const fleet::ScheduledReport& report,
-                               uint64_t previously_failed) {
-  return report.outcome == fleet::CampaignOutcome::kCompleted &&
-         report.succeeded == report.targets - report.revoked &&
-         previously_failed == 0;
+  std::printf("time:   %.1f ms wall, %.0f devices/s\n", report.wall_ms,
+              report.devices_per_second);
+  std::printf("cache:  %llu hits / %llu misses (%llu compiles)\n",
+              static_cast<unsigned long long>(report.cache_artifact_hits),
+              static_cast<unsigned long long>(report.cache_artifact_misses),
+              static_cast<unsigned long long>(report.cache_compile_misses));
+  size_t active_isas = 0;
+  for (const auto& slice : report.by_isa) {
+    if (slice.targets > 0) ++active_isas;
+  }
+  for (size_t i = 0; active_isas > 1 && i < isa::kNumIsaIds; ++i) {
+    const fleet::CampaignIsaStats& slice = report.by_isa[i];
+    if (slice.targets == 0) continue;
+    std::printf(
+        "isa:    %s: %llu ok of %llu targets, %llu deliveries, "
+        "%llu bytes (%llu compiles, %llu seals)\n",
+        std::string(isa::IsaName(static_cast<isa::IsaId>(i))).c_str(),
+        static_cast<unsigned long long>(slice.succeeded),
+        static_cast<unsigned long long>(slice.targets),
+        static_cast<unsigned long long>(slice.deliveries),
+        static_cast<unsigned long long>(slice.bytes_shipped),
+        static_cast<unsigned long long>(slice.compile_builds),
+        static_cast<unsigned long long>(slice.seal_builds));
+  }
+  // The deliveries themselves stand; the affected devices simply
+  // mis-diff (and get full packages) next campaign.
+  if (report.manifest_update_failures > 0) {
+    std::fprintf(stderr,
+                 "warning: %llu delivered manifest update(s) could not be "
+                 "made durable\n",
+                 static_cast<unsigned long long>(
+                     report.manifest_update_failures));
+  }
 }
 
 bool ParseFault(const std::string& name, net::ChannelFault* fault) {
@@ -793,11 +779,7 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
     json.Field("pass", violations.empty());
     WriteTelemetryJson(json);
     json.EndObject();
-    if (!json.WriteFile(json_path.c_str())) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+    if (!WriteJsonFile(json, json_path)) return 1;
   }
 
   if (violations.empty()) {
@@ -823,15 +805,12 @@ int main(int argc, char** argv) {
   std::string fault_name = "none", mode = "partial";
   std::string source_path, workload_name, json_path;
   bool verbose = false;
-  // Scheduler knobs. The first row *activates* the scheduler path; the
-  // second row (negative sentinel = unset) only modifies it, and setting
-  // one without an activating flag earns a warning instead of silence.
+  // Rollout knobs. The defaults are one wave with no canary and no
+  // throttle (rate 0 = unlimited).
   size_t canary = 0, wave_size = 0, group_concurrency = 0;
-  uint32_t pause_after_ms = 0;
+  int64_t pause_after_ms = 0, pause_for_ms = 250;
   bool shuffle = false;
-  double rate = 0.0;
-  double canary_threshold = -1.0, burst = -1.0;
-  int64_t pause_for_ms = -1;
+  double rate = 0.0, canary_threshold = 0.1, burst = 1.0;
   // Durable-state knobs.
   std::string state_dir;
   bool resume = false;
@@ -852,10 +831,12 @@ int main(int argc, char** argv) {
   bool soak = false;
   std::string soak_profile_name = "short";
   uint64_t soak_seed = 0x50A4CA05;
-  // Wire-transport knobs (-1: in-process channel, no sockets; 0 = bind an
-  // ephemeral port). --sim-clients 0 means one connection per enrolled
-  // device; larger values add idle connections on top.
-  int64_t listen_port = -1;
+  // Wire-transport knobs (no --listen: in-process channel, no sockets;
+  // port 0 = bind an ephemeral port). --sim-clients 0 means one
+  // connection per enrolled device; larger values add idle connections
+  // on top.
+  bool listen = false;
+  int64_t listen_port = 0;
   size_t sim_clients = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -885,10 +866,10 @@ int main(int argc, char** argv) {
     else if (arg("--burst")) burst = std::atof(argv[++i]);
     else if (arg("--group-concurrency"))
       group_concurrency = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--pause-after")) pause_after_ms = static_cast<uint32_t>(
-        std::strtoul(argv[++i], nullptr, 0));
-    else if (arg("--pause-for")) pause_for_ms = std::strtol(argv[++i],
-                                                           nullptr, 0);
+    else if (arg("--pause-after"))
+      pause_after_ms = std::strtoll(argv[++i], nullptr, 0);
+    else if (arg("--pause-for"))
+      pause_for_ms = std::strtoll(argv[++i], nullptr, 0);
     else if (std::strcmp(argv[i], "--shuffle") == 0) shuffle = true;
     else if (arg("--state-dir")) state_dir = argv[++i];
     else if (std::strcmp(argv[i], "--resume") == 0) resume = true;
@@ -909,7 +890,10 @@ int main(int argc, char** argv) {
     else if (arg("--soak-profile")) soak_profile_name = argv[++i];
     else if (arg("--soak-seed"))
       soak_seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg("--listen")) listen_port = std::strtoll(argv[++i], nullptr, 0);
+    else if (arg("--listen")) {
+      listen = true;
+      listen_port = std::strtoll(argv[++i], nullptr, 0);
+    }
     else if (arg("--sim-clients"))
       sim_clients = std::strtoull(argv[++i], nullptr, 0);
     else if (arg("--json")) json_path = argv[++i];
@@ -1015,19 +999,32 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  if (listen_port >= 0 && soak) {
+  if (listen && soak) {
     // The soak drives its own in-process campaign sequence; its chaos
     // model (kill points, slot corruption) has no wire leg to attach to.
     std::fprintf(stderr, "--listen cannot be combined with --soak\n");
     Usage();
     return 2;
   }
-  if (listen_port > 65535) {
+  // Range checks run before anything touches the state dir: a value the
+  // scheduler would reject must not leave a begun campaign journal behind.
+  if (listen && (listen_port < 0 || listen_port > 65535)) {
     std::fprintf(stderr, "--listen PORT must be 0..65535 (0 = ephemeral)\n");
     Usage();
     return 2;
   }
-  if (sim_clients > 0 && listen_port < 0) {
+  if (canary_threshold < 0 || canary_threshold > 1) {
+    std::fprintf(stderr, "--canary-threshold must be in [0, 1]\n");
+    Usage();
+    return 2;
+  }
+  if (rate < 0 || burst < 0 || pause_after_ms < 0 || pause_for_ms < 0) {
+    std::fprintf(stderr,
+                 "--rate/--burst/--pause-after/--pause-for must be >= 0\n");
+    Usage();
+    return 2;
+  }
+  if (sim_clients > 0 && !listen) {
     std::fprintf(stderr, "--sim-clients requires --listen PORT\n");
     Usage();
     return 2;
@@ -1268,14 +1265,14 @@ int main(int argc, char** argv) {
   campaign.delta_base_source = base_source;
 
   // --- Wire transport (--listen) --------------------------------------------
-  // The server and the simulated device fleet outlive every campaign
-  // path below; campaign.transport routes each delivery over their
+  // The server and the simulated device fleet outlive the campaign
+  // below; campaign.transport routes each delivery over their
   // sockets instead of the in-process channel. Transport choice shapes
   // only the delivery path, never the bytes, so it stays out of the
   // campaign fingerprint and a --listen run can resume a plain one.
   std::unique_ptr<net::FleetServer> listen_server;
   std::unique_ptr<net::SimClientFleet> sim_fleet;
-  if (listen_port >= 0) {
+  if (listen) {
     net::FleetServerConfig server_config;
     server_config.port = static_cast<uint16_t>(listen_port);
     listen_server = std::make_unique<net::FleetServer>(server_config);
@@ -1453,11 +1450,7 @@ int main(int argc, char** argv) {
             json.Field("original_targets", original_targets);
             json.Field("remaining", campaign.devices.size());
             json.EndObject();
-            if (!json.WriteFile(json_path.c_str())) {
-              std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-            } else {
-              std::printf("wrote %s\n", json_path.c_str());
-            }
+            WriteJsonFile(json, json_path);
           }
           return 3;
         }
@@ -1485,40 +1478,10 @@ int main(int argc, char** argv) {
   }
   if (resumed && campaign.devices.empty()) {
     // The crash landed between the last checkpoint and the end record:
-    // nothing to dispatch, but --json consumers still get a report.
+    // nothing to dispatch, but the journal still closes and --json
+    // consumers still get the same report, over zero targets.
     std::printf("resume: every target already has a durable outcome; "
                 "campaign complete\n");
-    if (!json_path.empty()) {
-      ReportContext context{&program_name, &mode, true, previously_completed,
-                            previously_failed, original_targets,
-                            stats.devices};
-      JsonWriter json;
-      json.BeginObject();
-      WriteCommonJson(json, context);
-      json.Field("devices", size_t{0});
-      json.Field("succeeded", size_t{0});
-      json.Field("failed", size_t{0});
-      json.Field("revoked", size_t{0});
-      json.Field("deliveries", size_t{0});
-      json.Field("retries", size_t{0});
-      json.Field("delta", delta);
-      json.Field("delta_deliveries", size_t{0});
-      json.Field("full_deliveries", size_t{0});
-      json.Field("delta_fallbacks", size_t{0});
-      json.Field("bytes_shipped", size_t{0});
-      json.Field("bytes_full_equivalent", size_t{0});
-      json.Field("manifest_current",
-                 CountManifestsAt(registry, manifest_targets, target_version));
-      WriteTelemetryJson(json);
-      json.EndObject();
-      if (!json.WriteFile(json_path.c_str())) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-    if (!journal.Complete().ok()) return 1;
-    return previously_failed == 0 ? 0 : 1;
   }
 
   std::printf("campaign: %s, %s encryption, %zu workers, %u attempts, "
@@ -1527,9 +1490,8 @@ int main(int argc, char** argv) {
               fault_name.c_str(), fault_rate);
 
   // --- Health watchdog ------------------------------------------------------
-  // One control block shared by every campaign path below, so the
-  // watchdog's breach action can pause or cancel whichever path runs.
-  // Declaration order is the safety argument: the watchdog (and the
+  // The campaign's control block is the watchdog's lever: a breach
+  // pauses or cancels the rollout through it. Declaration order is the safety argument: the watchdog (and the
   // shutdown guard after it) is declared after the journal and the
   // control, so its breach action can never fire against a destroyed
   // journal or control block.
@@ -1595,134 +1557,61 @@ int main(int argc, char** argv) {
     }
   } telemetry_shutdown{&watchdog, &exporter};
 
-  // --- Key-epoch rotation campaign path -------------------------------------
-  if (rotate_group != 0) {
-    if (canary_threshold < 0) canary_threshold = 0.1;
-    if (burst < 0) burst = 1.0;
-    fleet::SchedulerConfig rollout;
-    rollout.canary_size = canary;
-    rollout.canary_failure_threshold = canary_threshold;
-    rollout.wave_size = wave_size;
-    rollout.shuffle_targets = shuffle;
-    rollout.limits.dispatch_rate = rate;
-    rollout.limits.dispatch_burst = burst;
-    rollout.limits.group_concurrency = group_concurrency;
+  // --- The campaign ----------------------------------------------------------
+  // Every campaign is one scheduled rollout. Without rollout flags that is
+  // a single wave with no canary and no throttle; a key rotation re-keys
+  // its group first and then rolls out like any other campaign.
+  fleet::SchedulerConfig rollout;
+  rollout.canary_size = canary;
+  rollout.canary_failure_threshold = canary_threshold;
+  rollout.wave_size = wave_size;
+  rollout.shuffle_targets = shuffle;
+  rollout.limits.dispatch_rate = rate;
+  rollout.limits.dispatch_burst = burst;
+  rollout.limits.group_concurrency = group_concurrency;
+  std::printf("rollout:  canary=%zu (threshold %.2f), wave-size=%zu, "
+              "rate=%.0f/s, group-concurrency=%zu\n",
+              canary, canary_threshold, wave_size, rate, group_concurrency);
 
+  fleet::RotationReport rotation;
+  if (rotate_group != 0) {
     fleet::RotationConfig rotation_config;
     rotation_config.group = rotate_group;
     rotation_config.target_epoch = rotate_target_epoch;
-    rotation_config.campaign = campaign;
-    rotation_config.rollout = rollout;
-
-    if (journal_active) {
-      control.AttachCheckpointSink(&journal);
-      journal.CancelCampaignOnError(&control);
-    }
-    fleet::RotationCampaign rotation(engine, registry, cache);
-    auto rotated = rotation.Run(rotation_config, &control);
-    if (!rotated.ok()) {
+    auto rekeyed =
+        fleet::RotationCampaign(engine, registry, cache).Rekey(rotation_config);
+    if (!rekeyed.ok()) {
       std::fprintf(stderr, "rotation campaign failed: %s\n",
-                   rotated.status().ToString().c_str());
+                   rekeyed.status().ToString().c_str());
       return 1;
     }
-    if (journal_active) {
-      auto journal_error = journal.last_error();
-      if (!journal_error.ok()) {
-        std::fprintf(stderr, "checkpoint append failed: %s\n",
-                     journal_error.ToString().c_str());
-        return 1;
-      }
-      if (rotated->rollout.outcome != fleet::CampaignOutcome::kCancelled &&
-          !journal.Complete().ok()) {
-        return 1;
-      }
-    }
-
+    rotation = std::move(*rekeyed);
     std::printf("rotation: group %llu epoch %llu -> %llu%s, %zu members "
                 "re-keyed, %zu stale artifacts invalidated "
                 "(bump %.1f ms, invalidate %.2f ms)\n",
                 static_cast<unsigned long long>(rotate_group),
-                static_cast<unsigned long long>(rotated->old_epoch),
-                static_cast<unsigned long long>(rotated->new_epoch),
-                rotated->bumped ? "" : " (already durable; resume)",
-                rotated->members_rekeyed, rotated->artifacts_invalidated,
-                rotated->bump_ms, rotated->invalidate_ms);
-    PrintScheduledReport(rotated->rollout);
-    WarnManifestFailures(rotated->rollout.manifest_update_failures);
-
-    if (!json_path.empty()) {
-      ReportContext context{&program_name, &mode, resumed,
-                            previously_completed, previously_failed,
-                            original_targets, stats.devices};
-      JsonWriter json;
-      json.BeginObject();
-      WriteCommonJson(json, context);
-      WriteScheduledJson(json, rotated->rollout);
-      json.Key("rotation");
-      json.BeginObject();
-      json.Field("group", rotate_group);
-      json.Field("old_epoch", rotated->old_epoch);
-      json.Field("new_epoch", rotated->new_epoch);
-      json.Field("bumped", rotated->bumped);
-      json.Field("members_rekeyed", rotated->members_rekeyed);
-      json.Field("artifacts_invalidated", rotated->artifacts_invalidated);
-      json.EndObject();
-      WriteTelemetryJson(json);
-      json.EndObject();
-      if (!json.WriteFile(json_path.c_str())) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-
-    return ScheduledCampaignComplete(rotated->rollout, previously_failed)
-               ? 0
-               : 1;
+                static_cast<unsigned long long>(rotation.old_epoch),
+                static_cast<unsigned long long>(rotation.new_epoch),
+                rotation.bumped ? "" : " (already durable; resume)",
+                rotation.members_rekeyed, rotation.artifacts_invalidated,
+                rotation.bump_ms, rotation.invalidate_ms);
   }
 
-  // --- Scheduled (waved) campaign path --------------------------------------
-  const bool use_scheduler = canary > 0 || wave_size > 0 || rate > 0 ||
-                             group_concurrency > 0 || pause_after_ms > 0 ||
-                             shuffle;
-  if (!use_scheduler &&
-      (canary_threshold >= 0 || burst >= 0 || pause_for_ms >= 0)) {
-    std::fprintf(stderr,
-                 "warning: --canary-threshold/--burst/--pause-for modify the "
-                 "scheduled path only; add --canary, --wave-size, --rate, "
-                 "--group-concurrency, --pause-after, or --shuffle to "
-                 "activate it\n");
+  if (journal_active) {
+    control.AttachCheckpointSink(&journal);
+    journal.CancelCampaignOnError(&control);
   }
-  if (use_scheduler) {
-    if (canary_threshold < 0) canary_threshold = 0.1;
-    if (burst < 0) burst = 1.0;
-    if (pause_for_ms < 0) pause_for_ms = 250;
-    fleet::SchedulerConfig policy;
-    policy.canary_size = canary;
-    policy.canary_failure_threshold = canary_threshold;
-    policy.wave_size = wave_size;
-    policy.shuffle_targets = shuffle;
-    policy.limits.dispatch_rate = rate;
-    policy.limits.dispatch_burst = burst;
-    policy.limits.group_concurrency = group_concurrency;
-
-    std::printf("rollout:  canary=%zu (threshold %.2f), wave-size=%zu, "
-                "rate=%.0f/s, group-concurrency=%zu\n",
-                canary, canary_threshold, wave_size, rate, group_concurrency);
-
-    fleet::CampaignScheduler scheduler(engine, registry);
-    if (journal_active) {
-      control.AttachCheckpointSink(&journal);
-      journal.CancelCampaignOnError(&control);
-    }
+  fleet::ScheduledReport report;
+  if (!campaign.devices.empty()) {
     std::thread pauser;
     if (pause_after_ms > 0) {
       pauser = std::thread([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(pause_after_ms));
         control.Pause();
         const auto at_pause = control.progress();
-        std::printf("[control] paused %u ms in (wave %u, %llu deliveries)\n",
-                    pause_after_ms, at_pause.waves_started,
+        std::printf("[control] paused %lld ms in (wave %u, %llu deliveries)\n",
+                    static_cast<long long>(pause_after_ms),
+                    at_pause.waves_started,
                     static_cast<unsigned long long>(at_pause.deliveries));
         std::this_thread::sleep_for(std::chrono::milliseconds(pause_for_ms));
         control.Resume();
@@ -1730,74 +1619,16 @@ int main(int argc, char** argv) {
                     static_cast<long long>(pause_for_ms));
       });
     }
-
-    auto scheduled = scheduler.Run(campaign, policy, &control);
+    auto scheduled =
+        fleet::CampaignScheduler(engine, registry).Run(campaign, rollout,
+                                                       &control);
     if (pauser.joinable()) pauser.join();
     if (!scheduled.ok()) {
       std::fprintf(stderr, "campaign failed: %s\n",
                    scheduled.status().ToString().c_str());
       return 1;
     }
-    if (journal_active) {
-      auto journal_error = journal.last_error();
-      if (!journal_error.ok()) {
-        std::fprintf(stderr, "checkpoint append failed: %s\n",
-                     journal_error.ToString().c_str());
-        return 1;
-      }
-      // A cancelled campaign stays open for --resume; a completed or
-      // gate-aborted one is over (a gate abort is a policy decision, not
-      // lost work).
-      if (scheduled->outcome != fleet::CampaignOutcome::kCancelled &&
-          !journal.Complete().ok()) {
-        return 1;
-      }
-    }
-
-    PrintScheduledReport(*scheduled);
-    WarnManifestFailures(scheduled->manifest_update_failures);
-
-    if (!json_path.empty()) {
-      ReportContext context{&program_name, &mode, resumed,
-                            previously_completed, previously_failed,
-                            original_targets, stats.devices};
-      JsonWriter json;
-      json.BeginObject();
-      WriteCommonJson(json, context);
-      WriteScheduledJson(json, *scheduled);
-      json.Field("delta", delta);
-      json.Field("manifest_current",
-                 CountManifestsAt(registry, manifest_targets, target_version));
-      WriteTelemetryJson(json);
-      json.EndObject();
-      if (!json.WriteFile(json_path.c_str())) {
-        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-
-    return ScheduledCampaignComplete(*scheduled, previously_failed) ? 0 : 1;
-  }
-
-  // --- Flat (unscheduled) campaign path -------------------------------------
-  // With a journal or a watchdog attached the flat path still needs a
-  // (limitless) governor: it is the conduit that carries each target's
-  // final outcome to the durable checkpoint sink, and the lever the
-  // watchdog's pause/cancel acts through.
-  fleet::DispatchGovernor flat_governor({}, &control);
-  if (journal_active) {
-    control.AttachCheckpointSink(&journal);
-    journal.CancelCampaignOnError(&control);
-  }
-  if (journal_active || watchdog.running()) {
-    campaign.governor = &flat_governor;
-  }
-  auto report = engine.Run(campaign);
-  if (!report.ok()) {
-    std::fprintf(stderr, "campaign failed: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
+    report = std::move(*scheduled);
   }
   if (journal_active) {
     auto journal_error = journal.last_error();
@@ -1806,124 +1637,100 @@ int main(int argc, char** argv) {
                    journal_error.ToString().c_str());
       return 1;
     }
-    if (report->skipped == 0 && !journal.Complete().ok()) return 1;
-  }
-  WarnManifestFailures(report->manifest_update_failures);
-
-  if (verbose) {
-    for (const auto& outcome : report->outcomes) {
-      std::printf("  device %llu: %s attempts=%u %s\n",
-                  static_cast<unsigned long long>(outcome.device),
-                  outcome.ok ? "ok" : (outcome.revoked ? "revoked" : "FAILED"),
-                  outcome.attempts,
-                  outcome.ok ? "" : outcome.last_status.ToString().c_str());
+    // A cancelled campaign stays open for --resume; a completed or
+    // gate-aborted one is over (a gate abort is a policy decision, not
+    // lost work).
+    if (report.outcome != fleet::CampaignOutcome::kCancelled &&
+        !journal.Complete().ok()) {
+      return 1;
     }
   }
 
-  std::printf("\nresult: %llu ok / %llu failed / %llu revoked of %llu "
-              "targets\n",
-              static_cast<unsigned long long>(report->succeeded),
-              static_cast<unsigned long long>(report->failed),
-              static_cast<unsigned long long>(report->revoked),
-              static_cast<unsigned long long>(report->targets));
-  std::printf("wire:   %llu deliveries (%llu retries)\n",
-              static_cast<unsigned long long>(report->deliveries),
-              static_cast<unsigned long long>(report->retries));
-  if (report->rollbacks > 0 || report->health_failures > 0) {
-    std::printf("agent:  %llu targets rolled back, %llu health "
-                "rejections\n",
-                static_cast<unsigned long long>(report->rollbacks),
-                static_cast<unsigned long long>(report->health_failures));
-  }
-  if (delta) {
-    const double ratio =
-        report->bytes_full_equivalent == 0
-            ? 0.0
-            : static_cast<double>(report->bytes_shipped) /
-                  static_cast<double>(report->bytes_full_equivalent);
-    std::printf("delta:  %llu delta / %llu full deliveries (%llu fallbacks), "
-                "%llu of %llu bytes shipped (%.2fx)\n",
-                static_cast<unsigned long long>(report->delta_deliveries),
-                static_cast<unsigned long long>(report->full_deliveries),
-                static_cast<unsigned long long>(report->delta_fallbacks),
-                static_cast<unsigned long long>(report->bytes_shipped),
-                static_cast<unsigned long long>(report->bytes_full_equivalent),
-                ratio);
-  }
-  std::printf("time:   %.1f ms wall, %.0f devices/s, latency mean %.0f us "
-              "max %.0f us\n",
-              report->wall_ms, report->devices_per_second,
-              report->mean_latency_us, report->max_latency_us);
-  std::printf("cache:  %llu hits / %llu misses (%llu compiles)\n",
-              static_cast<unsigned long long>(report->cache_artifact_hits),
-              static_cast<unsigned long long>(report->cache_artifact_misses),
-              static_cast<unsigned long long>(report->cache_compile_misses));
-  {
-    size_t active_isas = 0;
-    for (const auto& slice : report->by_isa) {
-      if (slice.targets > 0) ++active_isas;
-    }
-    if (active_isas > 1) {
-      for (size_t i = 0; i < isa::kNumIsaIds; ++i) {
-        const fleet::CampaignIsaStats& slice = report->by_isa[i];
-        if (slice.targets == 0) continue;
-        std::printf(
-            "isa:    %s: %llu ok of %llu targets, %llu deliveries, "
-            "%llu bytes (%llu compiles, %llu seals)\n",
-            std::string(isa::IsaName(static_cast<isa::IsaId>(i))).c_str(),
-            static_cast<unsigned long long>(slice.succeeded),
-            static_cast<unsigned long long>(slice.targets),
-            static_cast<unsigned long long>(slice.deliveries),
-            static_cast<unsigned long long>(slice.bytes_shipped),
-            static_cast<unsigned long long>(slice.compile_builds),
-            static_cast<unsigned long long>(slice.seal_builds));
-      }
-    }
-  }
+  PrintReport(report, verbose, delta);
 
   if (!json_path.empty()) {
-    ReportContext context{&program_name, &mode, resumed,
-                          previously_completed, previously_failed,
-                          original_targets, stats.devices};
+    // One schema for every campaign kind; only a rotation adds its
+    // "rotation" object.
     JsonWriter json;
     json.BeginObject();
-    WriteCommonJson(json, context);
-    json.Field("devices", report->targets);
+    json.Field("tool", "eric_fleetd");
+    json.Field("program", program_name);
+    json.Field("mode", mode);
+    json.Field("resumed", resumed);
+    json.Field("previously_completed", previously_completed);
+    json.Field("previously_failed", previously_failed);
+    json.Field("original_targets", original_targets);
+    json.Field("fleet_devices", stats.devices);
     json.Field("groups", groups);
     json.Field("workers", workers);
     json.Field("fault", fault_name);
     json.Field("fault_rate", fault_rate);
-    json.Field("succeeded", report->succeeded);
-    json.Field("failed", report->failed);
-    json.Field("revoked", report->revoked);
-    json.Field("deliveries", report->deliveries);
-    json.Field("retries", report->retries);
-    json.Field("wall_ms", report->wall_ms);
-    json.Field("devices_per_second", report->devices_per_second);
-    json.Field("cache_hits", report->cache_artifact_hits);
-    json.Field("cache_misses", report->cache_artifact_misses);
+    json.Field("outcome", fleet::CampaignOutcomeName(report.outcome));
+    json.Field("devices", report.targets);
+    json.Field("succeeded", report.succeeded);
+    json.Field("failed", report.failed);
+    json.Field("revoked", report.revoked);
+    json.Field("never_dispatched", report.never_dispatched);
+    json.Field("deliveries", report.deliveries);
+    json.Field("retries", report.retries);
     json.Field("delta", delta);
-    json.Field("delta_deliveries", report->delta_deliveries);
-    json.Field("full_deliveries", report->full_deliveries);
-    json.Field("delta_fallbacks", report->delta_fallbacks);
-    json.Field("bytes_shipped", report->bytes_shipped);
-    json.Field("bytes_full_equivalent", report->bytes_full_equivalent);
-    json.Field("manifest_update_failures", report->manifest_update_failures);
-    json.Field("rollbacks", report->rollbacks);
-    json.Field("health_failures", report->health_failures);
+    json.Field("delta_deliveries", report.delta_deliveries);
+    json.Field("full_deliveries", report.full_deliveries);
+    json.Field("delta_fallbacks", report.delta_fallbacks);
+    json.Field("bytes_shipped", report.bytes_shipped);
+    json.Field("bytes_full_equivalent", report.bytes_full_equivalent);
+    json.Field("manifest_update_failures", report.manifest_update_failures);
+    json.Field("rollbacks", report.rollbacks);
+    json.Field("health_failures", report.health_failures);
+    json.Field("cache_hits", report.cache_artifact_hits);
+    json.Field("cache_misses", report.cache_artifact_misses);
+    json.Field("peak_in_flight", report.peak_in_flight);
+    json.Field("wall_ms", report.wall_ms);
+    json.Field("devices_per_second", report.devices_per_second);
     json.Field("manifest_current",
                CountManifestsAt(registry, manifest_targets, target_version));
-    json.Field("trace_id", report->trace_id);
-    WriteIsaJson(json, report->by_isa);
+    // Each wave is its own engine campaign with its own trace; the
+    // top-level id is the first wave's (the whole campaign's when flat).
+    json.Field("trace_id", report.waves.empty()
+                               ? uint64_t{0}
+                               : report.waves.front().report.trace_id);
+    WriteIsaJson(json, report.by_isa);
+    json.Key("waves");
+    json.BeginArray();
+    for (const auto& wave : report.waves) {
+      json.BeginObject();
+      json.Field("index", wave.wave_index);
+      json.Field("canary", wave.canary);
+      json.Field("trace_id", wave.report.trace_id);
+      json.Field("targets", wave.report.targets);
+      json.Field("succeeded", wave.report.succeeded);
+      json.Field("failed", wave.report.failed);
+      json.Field("failure_rate", wave.failure_rate);
+      json.Field("gate_breached", wave.gate_breached);
+      json.Field("wall_ms", wave.report.wall_ms);
+      json.EndObject();
+    }
+    json.EndArray();
+    if (rotate_group != 0) {
+      json.Key("rotation");
+      json.BeginObject();
+      json.Field("group", rotate_group);
+      json.Field("old_epoch", rotation.old_epoch);
+      json.Field("new_epoch", rotation.new_epoch);
+      json.Field("bumped", rotation.bumped);
+      json.Field("members_rekeyed", rotation.members_rekeyed);
+      json.Field("artifacts_invalidated", rotation.artifacts_invalidated);
+      json.EndObject();
+    }
     WriteTelemetryJson(json);
     json.EndObject();
-    if (!json.WriteFile(json_path.c_str())) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+    if (!WriteJsonFile(json, json_path)) return 1;
   }
 
-  const size_t expected_ok = report->targets - report->revoked;
-  return report->succeeded == expected_ok && previously_failed == 0 ? 0 : 1;
+  // Complete means every non-revoked target of this run succeeded and no
+  // target was durably checkpointed as failed before a resume.
+  const bool complete = report.outcome == fleet::CampaignOutcome::kCompleted &&
+                        report.succeeded == report.targets - report.revoked &&
+                        previously_failed == 0;
+  return complete ? 0 : 1;
 }
