@@ -3,6 +3,8 @@
 // the full ERIC pipeline unchanged.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "compiler/compiler.h"
 #include "core/encryption_policy.h"
 #include "core/software_source.h"
@@ -11,6 +13,11 @@
 #include "workloads/workloads.h"
 
 namespace eric::workloads {
+
+// Name a kernel by its name alone. gtest's default byte dump of a Workload
+// includes heap pointers, so the listed test names changed on every run.
+void PrintTo(const Workload& w, std::ostream* os) { *os << w.name; }
+
 namespace {
 
 class WorkloadTest : public ::testing::TestWithParam<Workload> {};
