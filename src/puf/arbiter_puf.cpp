@@ -15,11 +15,15 @@ ArbiterPuf::ArbiterPuf(int challenge_bits, uint64_t device_seed,
   Xoshiro256 rng(seed);
   stages_.reserve(static_cast<size_t>(challenge_bits));
   for (int i = 0; i < challenge_bits; ++i) {
+    // Four draws per stage, in the order top/bottom straight, then
+    // top/bottom crossed.
+    const double top_straight = rng.NextGaussian() * model.variation_sigma;
+    const double bottom_straight = rng.NextGaussian() * model.variation_sigma;
+    const double top_crossed = rng.NextGaussian() * model.variation_sigma;
+    const double bottom_crossed = rng.NextGaussian() * model.variation_sigma;
     stages_.push_back(StageDelays{
-        .top_straight = rng.NextGaussian() * model.variation_sigma,
-        .bottom_straight = rng.NextGaussian() * model.variation_sigma,
-        .top_crossed = rng.NextGaussian() * model.variation_sigma,
-        .bottom_crossed = rng.NextGaussian() * model.variation_sigma,
+        .straight = top_straight - bottom_straight,
+        .crossed = top_crossed - bottom_crossed,
     });
   }
 }
@@ -32,11 +36,7 @@ double ArbiterPuf::DelayDifference(uint64_t challenge) const {
   for (int i = 0; i < challenge_bits_; ++i) {
     const bool crossed = (challenge >> i) & 1u;
     const StageDelays& s = stages_[static_cast<size_t>(i)];
-    if (crossed) {
-      diff = -diff + (s.top_crossed - s.bottom_crossed);
-    } else {
-      diff = diff + (s.top_straight - s.bottom_straight);
-    }
+    diff = crossed ? -diff + s.crossed : diff + s.straight;
   }
   return diff;
 }

@@ -8,9 +8,10 @@
 // We use the standard additive linear delay model: each stage i carries
 // four delays (top/bottom x straight/crossed) drawn once per device from a
 // Gaussian (process variation). Evaluation accumulates the top-bottom
-// delay difference; the response is its sign. Re-measurement adds Gaussian
-// thermal noise, so challenges whose delay difference is near zero are the
-// (realistically) unstable bits.
+// delay difference; the response is its sign. Only the per-stage
+// differences enter that sum, so those two are all a stage stores.
+// Re-measurement adds Gaussian thermal noise, so challenges whose delay
+// difference is near zero are the (realistically) unstable bits.
 #pragma once
 
 #include <cstdint>
@@ -58,11 +59,10 @@ class ArbiterPuf {
   double DelayDifference(uint64_t challenge) const;
 
  private:
+  /// Top-minus-bottom delay of one stage, per routing.
   struct StageDelays {
-    double top_straight;
-    double bottom_straight;
-    double top_crossed;
-    double bottom_crossed;
+    double straight;
+    double crossed;
   };
 
   int challenge_bits_;

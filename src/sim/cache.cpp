@@ -1,20 +1,27 @@
 #include "sim/cache.h"
 
+#include <bit>
 #include <cassert>
 
 namespace eric::sim {
 
 Cache::Cache(const CacheConfig& config) : config_(config) {
   assert(config.size_bytes % (config.line_bytes * config.ways) == 0);
-  num_sets_ = config.size_bytes / (config.line_bytes * config.ways);
-  lines_.resize(static_cast<size_t>(num_sets_) * config.ways);
+  const uint32_t num_sets =
+      config.size_bytes / (config.line_bytes * config.ways);
+  assert(std::has_single_bit(config.line_bytes) &&
+         std::has_single_bit(num_sets) && "power-of-two geometry");
+  line_shift_ = static_cast<unsigned>(std::countr_zero(config.line_bytes));
+  set_shift_ = static_cast<unsigned>(std::countr_zero(num_sets));
+  set_mask_ = num_sets - 1;
+  lines_.resize(static_cast<size_t>(num_sets) * config.ways);
 }
 
-uint32_t Cache::Access(uint64_t addr) {
-  const uint64_t line_addr = addr / config_.line_bytes;
-  const uint32_t set = static_cast<uint32_t>(line_addr % num_sets_);
-  const uint64_t tag = line_addr / num_sets_;
-  Line* set_base = &lines_[static_cast<size_t>(set) * config_.ways];
+uint32_t Cache::AccessSet(uint64_t line_addr) {
+  const uint64_t set = line_addr & set_mask_;
+  const uint64_t tag = line_addr >> set_shift_;
+  Line* set_base = &lines_[set * config_.ways];
+  last_line_ = line_addr;
 
   ++use_counter_;
   for (uint32_t w = 0; w < config_.ways; ++w) {
@@ -45,6 +52,7 @@ uint32_t Cache::Access(uint64_t addr) {
 
 void Cache::Flush() {
   for (Line& line : lines_) line.valid = false;
+  last_line_ = kNoLine;
 }
 
 }  // namespace eric::sim

@@ -6,6 +6,12 @@
 // right latency. Replacement is LRU. Write policy is write-allocate /
 // write-back (Rocket's L1D), which for a tag-only model reduces to
 // allocate-on-write.
+//
+// Geometry is power-of-two (line size and set count), so set and tag come
+// from shifts and masks. An access to the same line as the previous access
+// returns a hit at once: that line already holds the newest LRU stamp in
+// the cache, so skipping the stamp update leaves the relative order of
+// every set, and therefore every future victim choice, unchanged.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +48,14 @@ class Cache {
 
   /// Performs one access; returns cycles charged (hit or miss latency) and
   /// updates tag state + stats.
-  uint32_t Access(uint64_t addr);
+  uint32_t Access(uint64_t addr) {
+    const uint64_t line_addr = addr >> line_shift_;
+    if (line_addr == last_line_) [[likely]] {
+      ++stats_.hits;
+      return config_.hit_cycles;
+    }
+    return AccessSet(line_addr);
+  }
 
   /// Invalidates all lines (program reload).
   void Flush();
@@ -57,9 +70,17 @@ class Cache {
     bool valid = false;
   };
 
+  static constexpr uint64_t kNoLine = ~uint64_t{0};
+
+  /// The set lookup and LRU update behind Access.
+  uint32_t AccessSet(uint64_t line_addr);
+
   CacheConfig config_;
-  uint32_t num_sets_;
+  unsigned line_shift_;  // log2(line_bytes)
+  unsigned set_shift_;   // log2(number of sets)
+  uint64_t set_mask_;    // number of sets - 1
   std::vector<Line> lines_;  // num_sets * ways, row-major by set
+  uint64_t last_line_ = kNoLine;  // line of the previous access
   uint64_t use_counter_ = 0;
   CacheStats stats_;
 };

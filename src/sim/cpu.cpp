@@ -1,5 +1,7 @@
 #include "sim/cpu.h"
 
+#include <algorithm>
+
 namespace eric::sim {
 
 using isa::Instr;
@@ -24,7 +26,14 @@ Cpu::Cpu(Memory& memory, const CpuTiming& timing, isa::IsaId isa)
       icache_(timing.icache),
       dcache_(timing.dcache) {}
 
+void Cpu::SetCodeRange(uint64_t base, uint64_t bytes) {
+  code_base_ = base;
+  code_bytes_ = bytes;
+  decoded_.assign((bytes + 1) / 2, DecodedSlot{});
+}
+
 void Cpu::Reset(uint64_t entry_pc, uint64_t stack_pointer) {
+  std::fill(decoded_.begin(), decoded_.end(), DecodedSlot{});
   regs_.fill(0);
   regs_[2] = rv32_ ? SignExtend32(stack_pointer) : stack_pointer;
   pc_ = rv32_ ? (entry_pc & 0xFFFFFFFF) : entry_pc;
@@ -35,33 +44,6 @@ void Cpu::Reset(uint64_t entry_pc, uint64_t stack_pointer) {
 }
 
 namespace {
-
-int LoadSize(Op op) {
-  switch (op) {
-    case Op::kLb: case Op::kLbu: return 1;
-    case Op::kLh: case Op::kLhu: return 2;
-    case Op::kLw: case Op::kLwu: return 4;
-    default: return 8;  // ld
-  }
-}
-
-int StoreSize(Op op) {
-  switch (op) {
-    case Op::kSb: return 1;
-    case Op::kSh: return 2;
-    case Op::kSw: return 4;
-    default: return 8;  // sd
-  }
-}
-
-uint64_t SignExtendLoad(uint64_t value, Op op) {
-  switch (op) {
-    case Op::kLb: return static_cast<uint64_t>(static_cast<int8_t>(value));
-    case Op::kLh: return static_cast<uint64_t>(static_cast<int16_t>(value));
-    case Op::kLw: return static_cast<uint64_t>(static_cast<int32_t>(value));
-    default: return value;  // lbu/lhu/lwu/ld already zero-extended
-  }
-}
 
 int64_t SignedMulHigh(int64_t a, int64_t b) {
   return static_cast<int64_t>(
@@ -83,19 +65,52 @@ int64_t SignedUnsignedMulHigh(int64_t a, uint64_t b) {
 
 }  // namespace
 
-bool Cpu::Step(ExecStats& stats) {
-  // Fetch (I-cache) and decode.
-  stats.cycles += icache_.Access(pc_);
-  const uint16_t half = static_cast<uint16_t>(memory_.Read(pc_, 2));
-  Instr in;
+Instr Cpu::DecodeAt(uint64_t pc) const {
+  const uint16_t half = static_cast<uint16_t>(memory_.Read(pc, 2));
   if (isa::IsWide(half)) {
-    const uint32_t word = static_cast<uint32_t>(memory_.Read(pc_, 4));
-    in = backend_.Decode(word);
-  } else {
-    // On ISAs without the C extension this yields kInvalid: a compressed
-    // encoding halts the core instead of executing as something else.
-    in = backend_.DecodeCompressed(half);
+    return backend_.Decode(static_cast<uint32_t>(memory_.Read(pc, 4)));
   }
+  // On ISAs without the C extension this yields kInvalid: a compressed
+  // encoding halts the core instead of executing as something else.
+  return backend_.DecodeCompressed(half);
+}
+
+const Instr& Cpu::Fetch() {
+  const uint64_t offset = pc_ - code_base_;
+  if (offset < code_bytes_ && (offset & 1) == 0) [[likely]] {
+    DecodedSlot& slot = decoded_[offset >> 1];
+    if (!slot.valid) [[unlikely]] {
+      slot.instr = DecodeAt(pc_);
+      slot.valid = true;
+    }
+    return slot.instr;
+  }
+  fetched_ = DecodeAt(pc_);
+  return fetched_;
+}
+
+void Cpu::InvalidateDecoded(uint64_t addr, int size) {
+  // An instruction at pc covers at most [pc, pc+4), so it overlaps the
+  // write iff addr-4 < pc < addr+size. Offsets are small here: NoteWrite
+  // only calls in when the write lands within 3 bytes of the image.
+  const int64_t at = static_cast<int64_t>(addr - code_base_);
+  const int64_t end = std::min<int64_t>(at + size,
+                                        static_cast<int64_t>(code_bytes_));
+  for (int64_t offset = std::max<int64_t>(at - 3, 0); offset < end;
+       ++offset) {
+    if ((offset & 1) == 0) {
+      decoded_[static_cast<size_t>(offset) >> 1].valid = false;
+    }
+  }
+}
+
+template <bool kRv32>
+[[gnu::always_inline]] inline bool Cpu::Step(ExecStats& stats) {
+  // Fetch (I-cache) and decode. `in` refers into the predecode table: a
+  // store that overwrites this very instruction only clears its entry's
+  // valid flag, so the operands read below stay intact.
+  stats.cycles += icache_.Access(pc_);
+  const Instr& in = Fetch();
 
   if (in.op == Op::kInvalid) {
     halt_ = HaltReason::kInvalidInstruction;
@@ -116,12 +131,44 @@ bool Cpu::Step(ExecStats& stats) {
   // sign-extended operands preserve both signed and unsigned ordering, so
   // the comparison ops need no special casing.
   auto wb = [&](uint64_t value) {
-    if (rv32_) value = SignExtend32(value);
+    if constexpr (kRv32) value = SignExtend32(value);
     if (in.rd != 0) regs_[in.rd] = value;
   };
   // Effective data address (RV32: 32-bit address space).
   auto ea = [&](uint64_t addr) {
-    return rv32_ ? (addr & 0xFFFFFFFF) : addr;
+    return kRv32 ? (addr & 0xFFFFFFFF) : addr;
+  };
+  // Loads and stores are typed by width: the access size and the sign or
+  // zero extension (T's signedness) are constants in each case.
+  auto load = [&](auto type) {
+    using T = decltype(type);
+    ++stats.loads;
+    const uint64_t addr = ea(rs1() + static_cast<uint64_t>(in.imm));
+    uint64_t value = 0;
+    if (InMmioWindow(addr) && mmio_.load &&
+        mmio_.load(addr, &value, sizeof(T))) {
+      // Device access: uncached, constant latency.
+      stats.cycles += timing_.dcache.miss_cycles;
+    } else {
+      stats.cycles += dcache_.Access(addr);
+      value = memory_.Read(addr, sizeof(T));
+    }
+    wb(static_cast<uint64_t>(static_cast<int64_t>(static_cast<T>(value))));
+  };
+  // Returns false when the store halted the core (exit device).
+  auto store = [&](auto type) {
+    using T = decltype(type);
+    ++stats.stores;
+    const uint64_t addr = ea(rs1() + static_cast<uint64_t>(in.imm));
+    if (InMmioWindow(addr) && mmio_.store &&
+        mmio_.store(addr, rs2(), sizeof(T))) {
+      stats.cycles += timing_.dcache.miss_cycles;
+      return halt_ == HaltReason::kNone;
+    }
+    stats.cycles += dcache_.Access(addr);
+    memory_.Write(addr, rs2(), sizeof(T));
+    NoteWrite(addr, sizeof(T));
+    return true;
   };
 
   switch (in.op) {
@@ -164,35 +211,17 @@ bool Cpu::Step(ExecStats& stats) {
       break;
     }
 
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
-    case Op::kLbu: case Op::kLhu: case Op::kLwu: {
-      ++stats.loads;
-      const uint64_t addr = ea(rs1() + static_cast<uint64_t>(in.imm));
-      const int size = LoadSize(in.op);
-      uint64_t value = 0;
-      if (mmio_.load && mmio_.load(addr, &value, size)) {
-        // Device access: uncached, constant latency.
-        stats.cycles += timing_.dcache.miss_cycles;
-      } else {
-        stats.cycles += dcache_.Access(addr);
-        value = memory_.Read(addr, size);
-      }
-      wb(SignExtendLoad(value, in.op));
-      break;
-    }
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: {
-      ++stats.stores;
-      const uint64_t addr = ea(rs1() + static_cast<uint64_t>(in.imm));
-      const int size = StoreSize(in.op);
-      if (mmio_.store && mmio_.store(addr, rs2(), size)) {
-        stats.cycles += timing_.dcache.miss_cycles;
-        if (halt_ != HaltReason::kNone) return false;  // exit device
-      } else {
-        stats.cycles += dcache_.Access(addr);
-        memory_.Write(addr, rs2(), size);
-      }
-      break;
-    }
+    case Op::kLb: load(int8_t{}); break;
+    case Op::kLh: load(int16_t{}); break;
+    case Op::kLw: load(int32_t{}); break;
+    case Op::kLd: load(uint64_t{}); break;
+    case Op::kLbu: load(uint8_t{}); break;
+    case Op::kLhu: load(uint16_t{}); break;
+    case Op::kLwu: load(uint32_t{}); break;
+    case Op::kSb: if (!store(uint8_t{})) return false; break;
+    case Op::kSh: if (!store(uint16_t{})) return false; break;
+    case Op::kSw: if (!store(uint32_t{})) return false; break;
+    case Op::kSd: if (!store(uint64_t{})) return false; break;
 
     case Op::kAddi: wb(rs1() + static_cast<uint64_t>(in.imm)); break;
     case Op::kSlti:
@@ -206,7 +235,7 @@ bool Cpu::Step(ExecStats& stats) {
     // truncation is NOT mod-2^32 correct (bits shift in from above), so
     // RV32 takes explicit 32-bit paths with 5-bit shift amounts.
     case Op::kSlli:
-      if (rv32_) {
+      if constexpr (kRv32) {
         wb(static_cast<uint64_t>(static_cast<uint32_t>(rs1())
                                  << (in.imm & 31)));
       } else {
@@ -214,7 +243,7 @@ bool Cpu::Step(ExecStats& stats) {
       }
       break;
     case Op::kSrli:
-      if (rv32_) {
+      if constexpr (kRv32) {
         wb(static_cast<uint64_t>(static_cast<uint32_t>(rs1()) >>
                                  (in.imm & 31)));
       } else {
@@ -222,7 +251,7 @@ bool Cpu::Step(ExecStats& stats) {
       }
       break;
     case Op::kSrai:
-      if (rv32_) {
+      if constexpr (kRv32) {
         wb(static_cast<uint64_t>(
             static_cast<int32_t>(static_cast<uint32_t>(rs1())) >>
             (in.imm & 31)));
@@ -235,7 +264,7 @@ bool Cpu::Step(ExecStats& stats) {
     case Op::kAdd: wb(rs1() + rs2()); break;
     case Op::kSub: wb(rs1() - rs2()); break;
     case Op::kSll:
-      if (rv32_) {
+      if constexpr (kRv32) {
         wb(static_cast<uint64_t>(static_cast<uint32_t>(rs1())
                                  << (rs2() & 31)));
       } else {
@@ -248,7 +277,7 @@ bool Cpu::Step(ExecStats& stats) {
     case Op::kSltu: wb(rs1() < rs2() ? 1 : 0); break;
     case Op::kXor: wb(rs1() ^ rs2()); break;
     case Op::kSrl:
-      if (rv32_) {
+      if constexpr (kRv32) {
         wb(static_cast<uint64_t>(static_cast<uint32_t>(rs1()) >>
                                  (rs2() & 31)));
       } else {
@@ -256,7 +285,7 @@ bool Cpu::Step(ExecStats& stats) {
       }
       break;
     case Op::kSra:
-      if (rv32_) {
+      if constexpr (kRv32) {
         wb(static_cast<uint64_t>(
             static_cast<int32_t>(static_cast<uint32_t>(rs1())) >>
             (rs2() & 31)));
@@ -430,7 +459,9 @@ bool Cpu::Step(ExecStats& stats) {
       const uint64_t addr = rs1();
       stats.cycles += dcache_.Access(addr);
       if (reservation_valid_ && reservation_addr_ == addr) {
-        memory_.Write(addr, rs2(), in.op == Op::kScW ? 4 : 8);
+        const int size = in.op == Op::kScW ? 4 : 8;
+        memory_.Write(addr, rs2(), size);
+        NoteWrite(addr, size);
         wb(0);  // success
       } else {
         wb(1);  // failure
@@ -489,6 +520,7 @@ bool Cpu::Step(ExecStats& stats) {
         default: break;
       }
       memory_.Write(addr, result, size);
+      NoteWrite(addr, size);
       wb(old_raw);
       break;
     }
@@ -525,17 +557,30 @@ bool Cpu::Step(ExecStats& stats) {
     stats.cycles += timing_.taken_branch_penalty;
     // RV32: jalr targets come from sign-extended registers; masking
     // recovers the true 32-bit address.
-    pc_ = rv32_ ? (redirect & 0xFFFFFFFF) : redirect;
+    pc_ = kRv32 ? (redirect & 0xFFFFFFFF) : redirect;
   } else {
     pc_ = next_pc;
   }
   return true;
 }
 
+template <bool kRv32>
+void Cpu::RunLoop(ExecStats& out, uint64_t max_instructions) {
+  // A local the core's memory writes cannot alias, so the counters stay
+  // in registers across the loop.
+  ExecStats stats;
+  while (stats.instructions < max_instructions) {
+    if (!Step<kRv32>(stats)) break;
+  }
+  out = stats;
+}
+
 ExecStats Cpu::Run(const ExecLimits& limits) {
   ExecStats stats;
-  while (stats.instructions < limits.max_instructions) {
-    if (!Step(stats)) break;
+  if (rv32_) {
+    RunLoop<true>(stats, limits.max_instructions);
+  } else {
+    RunLoop<false>(stats, limits.max_instructions);
   }
   if (halt_ == HaltReason::kNone) halt_ = HaltReason::kInstructionLimit;
   stats.halt_reason = halt_;

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "isa/decoder.h"
 #include "isa/instruction.h"
@@ -70,9 +71,13 @@ struct ExecStats {
   }
 };
 
-/// Memory-mapped I/O hook: the SoC installs a handler for device
-/// addresses; returns true if the access was claimed by a device.
+/// Memory-mapped I/O: the SoC declares its device window [base, limit)
+/// and installs handlers for it. Only data accesses inside the window
+/// reach a handler, which returns true if a device claimed the access;
+/// everything else goes straight to RAM.
 struct MmioHandlers {
+  uint64_t base = 0;
+  uint64_t limit = 0;
   std::function<bool(uint64_t addr, uint64_t value, int size)> store;
   std::function<bool(uint64_t addr, uint64_t* value, int size)> load;
 };
@@ -83,7 +88,14 @@ struct MmioHandlers {
 /// a sign-extended-32 invariant (every writeback re-canonicalizes),
 /// addresses and the pc are truncated to 32 bits, shift amounts are
 /// 5-bit, and compressed or RV64-only encodings halt the core with
-/// kInvalidInstruction instead of silently executing.
+/// kInvalidInstruction instead of silently executing. The mode is chosen
+/// once per Run, not per instruction.
+///
+/// Fetch goes through a predecode table: one decoded `Instr` per halfword
+/// of the loaded image, filled on first fetch, so the backend decodes each
+/// static instruction once per run. Every store, SC and AMO that overlaps
+/// a cached instruction's bytes drops that entry, so self-modifying code
+/// re-decodes; fetches outside the image decode every time.
 class Cpu {
  public:
   Cpu(Memory& memory, const CpuTiming& timing = {},
@@ -92,7 +104,11 @@ class Cpu {
   /// Installs device handlers (optional).
   void set_mmio(MmioHandlers handlers) { mmio_ = std::move(handlers); }
 
-  /// Resets architectural state; sets pc and sp.
+  /// Sets the image range [base, base+bytes) the predecode table covers.
+  void SetCodeRange(uint64_t base, uint64_t bytes);
+
+  /// Resets architectural state and empties the predecode table; sets pc
+  /// and sp.
   void Reset(uint64_t entry_pc, uint64_t stack_pointer);
 
   /// Runs until halt or limit. Registers/pc retain final state.
@@ -113,7 +129,39 @@ class Cpu {
   }
 
  private:
+  /// A predecode entry; `valid` is false until first fetch and after a
+  /// store over the instruction's bytes.
+  struct DecodedSlot {
+    isa::Instr instr;
+    bool valid = false;
+  };
+
+  /// The instruction at pc_: a predecoded entry inside the image, a fresh
+  /// decode outside it.
+  const isa::Instr& Fetch();
+  isa::Instr DecodeAt(uint64_t pc) const;
+
+  /// Drops predecode entries whose bytes overlap [addr, addr+size).
+  void NoteWrite(uint64_t addr, int size) {
+    // Entries at pcs in [addr-3, addr+size) can overlap; one unsigned
+    // compare rejects writes away from the image.
+    if (addr + static_cast<uint64_t>(size) - 1 - code_base_ <
+        code_bytes_ + static_cast<uint64_t>(size) + 2) {
+      InvalidateDecoded(addr, size);
+    }
+  }
+  void InvalidateDecoded(uint64_t addr, int size);
+
+  bool InMmioWindow(uint64_t addr) const {
+    return addr - mmio_.base < mmio_.limit - mmio_.base;
+  }
+
+  /// Runs the fetch-execute loop for one register width into `out`.
+  template <bool kRv32>
+  void RunLoop(ExecStats& out, uint64_t max_instructions);
+
   /// Executes one instruction; returns false on halt.
+  template <bool kRv32>
   bool Step(ExecStats& stats);
 
   Memory& memory_;
@@ -123,6 +171,11 @@ class Cpu {
   Cache icache_;
   Cache dcache_;
   MmioHandlers mmio_;
+
+  uint64_t code_base_ = 0;
+  uint64_t code_bytes_ = 0;
+  std::vector<DecodedSlot> decoded_;  // one per halfword of the image
+  isa::Instr fetched_;                // decode of a pc outside the image
 
   std::array<uint64_t, 32> regs_{};
   uint64_t pc_ = 0;

@@ -1,10 +1,15 @@
 #include "sim/soc.h"
 
+#include "obs/metrics.h"
+#include "support/stopwatch.h"
+
 namespace eric::sim {
 
 Soc::Soc(const CpuTiming& timing, isa::IsaId isa)
     : cpu_(memory_, timing, isa) {
   MmioHandlers handlers;
+  handlers.base = kConsoleAddr;
+  handlers.limit = kExitAddr + 8;
   handlers.store = [this](uint64_t addr, uint64_t value, int size) {
     (void)size;
     if (addr == kConsoleAddr) {
@@ -30,6 +35,7 @@ Soc::Soc(const CpuTiming& timing, isa::IsaId isa)
 
 void Soc::LoadProgram(std::span<const uint8_t> image, uint64_t address) {
   memory_.WriteBlock(address, image);
+  cpu_.SetCodeRange(address, image.size());
 }
 
 ExecStats Soc::Run(uint64_t entry, uint64_t arg0, uint64_t arg1,
@@ -37,7 +43,19 @@ ExecStats Soc::Run(uint64_t entry, uint64_t arg0, uint64_t arg1,
   cpu_.Reset(entry, kStackTop);
   cpu_.set_reg(10, arg0);
   cpu_.set_reg(11, arg1);
-  return cpu_.Run(limits);
+  // Resolved once per process; recorded once per run, never per step.
+  static obs::Histogram& exec_us =
+      obs::MetricsRegistry::Global().GetHistogram("sim_exec_us");
+  static obs::Counter& instructions =
+      obs::MetricsRegistry::Global().GetCounter("sim_instructions");
+  static obs::Counter& cycles =
+      obs::MetricsRegistry::Global().GetCounter("sim_cycles");
+  const auto start = std::chrono::steady_clock::now();
+  ExecStats stats = cpu_.Run(limits);
+  exec_us.Record(MicrosecondsSince(start));
+  instructions.Add(stats.instructions);
+  cycles.Add(stats.cycles);
+  return stats;
 }
 
 }  // namespace eric::sim

@@ -5,6 +5,11 @@
 // Two MMIO devices are provided:
 //   * console at kConsoleAddr — byte stores append to `console_output`
 //   * exit    at kExitAddr    — a store halts the core with that code
+// Their window [kConsoleAddr, kExitAddr+8) is the only address range the
+// core routes to the device handlers; every other access is plain RAM.
+// Each Run records its wall time (`sim_exec_us`) and its instruction and
+// cycle counts (`sim_instructions`, `sim_cycles`) on the global metrics
+// registry, so an operator can derive simulated MIPS from a snapshot.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +36,8 @@ class Soc {
   explicit Soc(const CpuTiming& timing = {},
                isa::IsaId isa = isa::IsaId::kRv64Gc);
 
-  /// Copies a program image into RAM at `address` (default kRamBase).
+  /// Copies a program image into RAM at `address` (default kRamBase); the
+  /// core predecodes instructions fetched from this range.
   void LoadProgram(std::span<const uint8_t> image, uint64_t address = kRamBase);
 
   /// Runs from `entry` until halt; arguments a0/a1 land in x10/x11.

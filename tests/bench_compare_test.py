@@ -41,14 +41,38 @@ def write(dirname, name, payload):
     return path
 
 
-def case(script, name, baseline_doc, current_doc, want_exit, want_text):
+# A two-workload Fig 7 result; the cycle counts are exact invariants.
+GOOD_FIG7 = {
+    "pass": True,
+    "workloads": [
+        {"name": "crc32", "plain_cycles": 559431, "hde_cycles": 8872,
+         "overhead_pct": 1.5859},
+        {"name": "sha", "plain_cycles": 195128, "hde_cycles": 10209,
+         "overhead_pct": 5.23195},
+    ],
+    "average_overhead_pct": 3.4,
+    "max_overhead_pct": 5.23195,
+}
+
+
+def fig7_with(workload, **fields):
+    """GOOD_FIG7 with `fields` overridden on the named workload."""
+    doc = json.loads(json.dumps(GOOD_FIG7))
+    for entry in doc["workloads"]:
+        if entry["name"] == workload:
+            entry.update(fields)
+    return doc
+
+
+def case(script, name, baseline_doc, current_doc, want_exit, want_text,
+         file_name="BENCH_store.json"):
     with tempfile.TemporaryDirectory(prefix="eric-bench-compare-") as work:
         baseline_dir = os.path.join(work, "baseline")
         current_dir = os.path.join(work, "current")
         os.makedirs(baseline_dir)
         os.makedirs(current_dir)
-        write(baseline_dir, "BENCH_store.json", baseline_doc)
-        write(current_dir, "BENCH_store.json", current_doc)
+        write(baseline_dir, file_name, baseline_doc)
+        write(current_dir, file_name, current_doc)
         result = run_compare(script, baseline_dir, current_dir)
     ok = result.returncode == want_exit
     if "Traceback" in result.stdout:
@@ -108,6 +132,24 @@ def main():
         case(script, "summary reports sub-threshold movement", GOOD_STORE,
              dict(GOOD_STORE, recovery_max_ratio=1.2), 0,
              "worst regression +20.0%"),
+        # Fig 7 cycle counts are gated at tolerance 0, matched by name.
+        case(script, "exact fig7 cycles pass", GOOD_FIG7, GOOD_FIG7, 0,
+             "PASS", file_name="BENCH_fig7_exec.json"),
+        case(script, "one-cycle plain drift fails", GOOD_FIG7,
+             fig7_with("sha", plain_cycles=195129), 1,
+             "workloads[sha].plain_cycles: 195128 -> 195129",
+             file_name="BENCH_fig7_exec.json"),
+        case(script, "one-cycle hde drift fails", GOOD_FIG7,
+             fig7_with("crc32", hde_cycles=8871), 1,
+             "workloads[crc32].hde_cycles: 8872 -> 8871",
+             file_name="BENCH_fig7_exec.json"),
+        case(script, "reordered workloads still match by name", GOOD_FIG7,
+             dict(GOOD_FIG7, workloads=GOOD_FIG7["workloads"][::-1]), 0,
+             "PASS", file_name="BENCH_fig7_exec.json"),
+        case(script, "vanished workload fails", GOOD_FIG7,
+             dict(GOOD_FIG7, workloads=GOOD_FIG7["workloads"][:1]), 1,
+             "workloads[sha]: entry vanished",
+             file_name="BENCH_fig7_exec.json"),
     ]
     if all(results):
         print("PASS: %d bench_compare self-test cases" % len(results))

@@ -104,6 +104,11 @@ One report schema:
   2. assert every --json report has the same top-level keys, apart from
      the rotation's "rotation" object
 
+Pause after the end:
+  1. a 2-device campaign with --pause-after 3000 finishes long before
+     the pause is due
+  2. the process exits in under 2 s and prints no "[control] paused"
+
 Exactly-once is checked from the resume run's JSON: previously
 checkpointed targets plus this run's dispatched targets must partition
 the target set, and the resumed run must only have dispatched the
@@ -405,10 +410,10 @@ def metrics_attempt(fleetd, workdir, attempt):
         if got != want:
             fail("final snapshot %s=%s, report says %s" % (name, got, want))
 
-    # Latency histograms cover the delivery, seal, and WAL stages, with
-    # coherent percentiles and exact bucket accounting.
+    # Latency histograms cover the delivery, seal, WAL and simulator
+    # stages, with coherent percentiles and exact bucket accounting.
     for name in ("fleet_delivery_us", "fleet_seal_us",
-                 "store_wal_append_us", "store_wal_fsync_us"):
+                 "store_wal_append_us", "store_wal_fsync_us", "sim_exec_us"):
         hist = final["histograms"].get(name)
         if not hist or hist["count"] < 1:
             fail("final snapshot lacks samples in histogram %s" % name)
@@ -915,6 +920,32 @@ def bad_flag_scenario(fleetd, workdir):
           "journal opens; the state dir then runs a plain campaign")
 
 
+def pause_after_end_scenario(fleetd, workdir):
+    """--pause-after longer than the campaign: the pauser must notice the
+    campaign ended instead of sleeping it out (the process used to exit
+    only after the full pause-after + pause-for)."""
+    source = os.path.join(workdir, "pause-tiny.eric")
+    with open(source, "w") as f:
+        f.write(TINY_PROGRAM)
+    start = time.monotonic()
+    result = subprocess.run([fleetd, "--devices", "2", "--source", source,
+                             "--pause-after", "3000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                            text=True, timeout=DEADLINE_S)
+    elapsed = time.monotonic() - start
+    if result.returncode != 0:
+        fail("tiny --pause-after campaign exited %d:\n%s" %
+             (result.returncode, result.stdout))
+    if "[control] paused" in result.stdout:
+        fail("campaign that ended before --pause-after was paused:\n%s" %
+             result.stdout)
+    if elapsed >= 2.0:
+        fail("tiny --pause-after 3000 campaign took %.2f s to exit (the "
+             "pauser held the process after the campaign ended)" % elapsed)
+    print("PASS (pause after end): a campaign that ends before "
+          "--pause-after exits in %.2f s, never paused" % elapsed)
+
+
 def last_frame(journal_path):
     """(type, offset) of the last complete WAL frame in `journal_path`."""
     with open(journal_path, "rb") as f:
@@ -1025,6 +1056,7 @@ def main():
                      DEVICES)
         soak_scenario(fleetd, workdir)
         bad_flag_scenario(fleetd, workdir)
+        pause_after_end_scenario(fleetd, workdir)
         report_schema_scenario(fleetd, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

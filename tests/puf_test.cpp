@@ -1,6 +1,10 @@
 // Tests for the arbiter-PUF model, PUF key generator, and quality metrics.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <utility>
+
 #include "puf/arbiter_puf.h"
 #include "puf/puf_key_generator.h"
 #include "puf/puf_metrics.h"
@@ -89,6 +93,30 @@ TEST(ArbiterPufTest, DelayDifferenceIsLinearish) {
   EXPECT_EQ(changed, 128);
 }
 
+TEST(ArbiterPufTest, DelayDifferenceIsPinned) {
+  // Exact values (hex floats, bit for bit) of instance 3 on three devices.
+  // They pin the silicon model: the draw order and the per-stage
+  // arithmetic may be restructured, but no device's delays may move.
+  struct Pin {
+    uint64_t seed;
+    uint64_t challenge;
+    double diff;
+  };
+  const Pin pins[] = {
+      {1, 0x00, -0x1.e77c711bdb482p+1},   {1, 0x5A, 0x1.58eaef73c0ccp+1},
+      {1, 0xFF, -0x1.d714fc9134039p+1},   {42, 0x00, 0x1.68b8ff1b0ca82p-1},
+      {42, 0x5A, 0x1.de6db5f7b5c06p-1},   {42, 0xFF, -0x1.399508c4d59fcp+2},
+      {0xDE5EED, 0x00, 0x1.a20774069c47p+2},
+      {0xDE5EED, 0x5A, -0x1.dad5603e51b8ap+2},
+      {0xDE5EED, 0xFF, -0x1.8d4b4e673e2d1p+0},
+  };
+  for (const Pin& pin : pins) {
+    ArbiterPuf puf(8, pin.seed, /*instance=*/3);
+    EXPECT_EQ(puf.DelayDifference(pin.challenge), pin.diff)
+        << "seed " << pin.seed << " challenge " << pin.challenge;
+  }
+}
+
 // --- PKG -----------------------------------------------------------------
 
 TEST(PkgTest, RawMajorityKeyIsMostlyStable) {
@@ -152,6 +180,26 @@ TEST(PkgTest, KeyMatchesEnrollment) {
         std::popcount(static_cast<unsigned>(live[i] ^ enrolled[i]));
   }
   EXPECT_LE(differing_bits, 1);
+}
+
+TEST(PkgTest, IdealKeyIsPinned) {
+  // The noise-free key of three devices, byte for byte: enrolled fleets
+  // keep their keys across changes to the PUF model's representation.
+  const std::pair<uint64_t, const char*> pins[] = {
+      {1, "b470a1107bdedecb92299cda0277c5ad42b718fd43eebe83dae5b7a3f667c22d"},
+      {42, "d560be187420fe53838db61e17593a416712e0ae9cdff45abab58c9a957fd93e"},
+      {0xDE5EED,
+       "2e8334af84f558e52780b7202b8779bec9bb9f3ab90d9ef7828888df6e81547b"},
+  };
+  for (const auto& [seed, hex] : pins) {
+    std::string got;
+    for (uint8_t byte : PufKeyGenerator(seed).IdealKey()) {
+      char buf[3];
+      std::snprintf(buf, sizeof(buf), "%02x", byte);
+      got += buf;
+    }
+    EXPECT_EQ(got, hex) << "seed " << seed;
+  }
 }
 
 TEST(PkgTest, DevicesGetDistinctKeys) {

@@ -2,11 +2,18 @@
 // cache behaviour, MMIO devices, timing-model invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "compiler/compiler.h"
 #include "isa/assembler.h"
 #include "isa/encoder.h"
 #include "sim/cache.h"
+#include "sim/cpu.h"
 #include "sim/memory.h"
 #include "sim/soc.h"
+#include "workloads/workloads.h"
 
 namespace eric::sim {
 namespace {
@@ -540,6 +547,309 @@ TEST(Rv32ExecTest, SameProgramMatchesRv64ForThirtyTwoBitCleanCode) {
   EXPECT_EQ(rv32.halt_reason, HaltReason::kExit);
   EXPECT_EQ(rv64.exit_code, 5050);
   EXPECT_EQ(rv32.exit_code, 5050);
+}
+
+// --- Fast paths: exact counts, self-modifying code, page crossing, MMIO -----
+
+// Full ExecStats of every workload kernel on each ISA it compiles for,
+// recorded from the byte-at-a-time, decode-every-step simulator before the
+// page cache, predecode table, MMIO window and same-line cache hit went
+// in. Those are speed-ups only: every count must match to the unit.
+struct GoldenRun {
+  const char* kernel;
+  isa::IsaId isa;
+  uint64_t instructions, cycles, loads, stores, branches, taken_branches;
+  uint64_t icache_hits, icache_misses, dcache_hits, dcache_misses;
+  HaltReason halt;
+  int64_t exit_code;
+};
+
+constexpr GoldenRun kGoldenRuns[] = {
+    {"bitcount", isa::IsaId::kRv64Gc,
+     1532741, 1814054, 428853, 484254, 53351, 3073,
+     1532733, 8, 913100, 6, HaltReason::kExit, 31877},
+    {"bitcount", isa::IsaId::kRv32I,
+     2446383, 3149803, 428853, 484254, 321707, 164932,
+     2446368, 15, 913102, 4, HaltReason::kExit, 31877},
+    {"basicmath", isa::IsaId::kRv64Gc,
+     392680, 674572, 127267, 117555, 12202, 1201,
+     392669, 11, 244814, 7, HaltReason::kExit, 70133},
+    {"basicmath", isa::IsaId::kRv32I,
+     3465366, 5067708, 127267, 117555, 821320, 678593,
+     3465344, 22, 244817, 4, HaltReason::kExit, 70133},
+    {"crc32", isa::IsaId::kRv64Gc,
+     463860, 559431, 114685, 135169, 18433, 5126,
+     463852, 8, 249847, 6, HaltReason::kExit, 80307},
+    {"crc32", isa::IsaId::kRv32I,
+     655601, 850687, 114685, 135169, 83013, 22595,
+     655587, 14, 249849, 4, HaltReason::kExit, -886989},
+    {"sha", isa::IsaId::kRv64Gc,
+     175163, 195128, 41993, 45070, 513, 1,
+     175148, 15, 87054, 8, HaltReason::kExit, 903978},
+    {"sha", isa::IsaId::kRv32I,
+     270111, 351667, 41993, 45070, 39493, 11328,
+     270091, 20, 87057, 5, HaltReason::kExit, -396620},
+    {"qsort", isa::IsaId::kRv64Gc,
+     288849, 383573, 76812, 67113, 12272, 4271,
+     288834, 15, 143776, 148, HaltReason::kExit, 726557},
+    {"qsort", isa::IsaId::kRv32I,
+     795352, 1117018, 76812, 67113, 154139, 108953,
+     795324, 28, 143849, 75, HaltReason::kExit, 726557},
+    {"stringsearch", isa::IsaId::kRv64Gc,
+     1730318, 2119567, 489274, 407447, 78792, 19955,
+     1730308, 10, 896139, 581, HaltReason::kExit, 4090},
+    {"stringsearch", isa::IsaId::kRv32I,
+     2672330, 3440372, 489274, 407447, 349732, 164882,
+     2672312, 18, 896586, 134, HaltReason::kExit, 4090},
+    {"dijkstra", isa::IsaId::kRv64Gc,
+     1431947, 1735892, 412925, 350982, 56703, 26826,
+     1431919, 28, 763812, 94, HaltReason::kExit, 3473},
+    {"dijkstra", isa::IsaId::kRv32I,
+     2404584, 3175138, 412925, 350982, 338171, 142626,
+     2404537, 47, 763859, 47, HaltReason::kExit, 3473},
+    {"fft", isa::IsaId::kRv64Gc,
+     106520, 186163, 31335, 29419, 1122, 18,
+     106509, 11, 60731, 22, HaltReason::kExit, 356261},
+    {"fft", isa::IsaId::kRv32I,
+     1156534, 1719654, 31335, 29419, 303860, 222565,
+     1156513, 21, 60741, 12, HaltReason::kExit, 356261},
+    {"adpcm", isa::IsaId::kRv64Gc,
+     445016, 633195, 124431, 132125, 17410, 9504,
+     444997, 19, 256413, 142, HaltReason::kExit, 356522},
+    {"adpcm", isa::IsaId::kRv32I,
+     1836019, 2632815, 124431, 132125, 405554, 290316,
+     1835985, 34, 256483, 72, HaltReason::kExit, 123166},
+};
+
+TEST(FastPathTest, EveryKernelMatchesGoldenExecStats) {
+  size_t runs = 0;
+  for (const auto& w : workloads::AllWorkloads()) {
+    for (isa::IsaId id : {isa::IsaId::kRv64Gc, isa::IsaId::kRv32I}) {
+      compiler::CompileOptions options;
+      options.isa = id;
+      auto compiled = compiler::Compile(w.source, options);
+      if (!compiled.ok()) continue;
+      const auto* golden = std::find_if(
+          std::begin(kGoldenRuns), std::end(kGoldenRuns),
+          [&](const GoldenRun& g) {
+            return g.kernel == w.name && g.isa == id;
+          });
+      ASSERT_NE(golden, std::end(kGoldenRuns))
+          << w.name << " on " << isa::IsaName(id) << " has no golden row";
+      SCOPED_TRACE(w.name + " on " + std::string(isa::IsaName(id)));
+      Soc soc({}, id);
+      soc.LoadProgram(compiled->program.image);
+      const ExecStats s = soc.Run();
+      EXPECT_EQ(s.instructions, golden->instructions);
+      EXPECT_EQ(s.cycles, golden->cycles);
+      EXPECT_EQ(s.loads, golden->loads);
+      EXPECT_EQ(s.stores, golden->stores);
+      EXPECT_EQ(s.branches, golden->branches);
+      EXPECT_EQ(s.taken_branches, golden->taken_branches);
+      EXPECT_EQ(s.icache.hits, golden->icache_hits);
+      EXPECT_EQ(s.icache.misses, golden->icache_misses);
+      EXPECT_EQ(s.dcache.hits, golden->dcache_hits);
+      EXPECT_EQ(s.dcache.misses, golden->dcache_misses);
+      EXPECT_EQ(s.halt_reason, golden->halt);
+      EXPECT_EQ(s.exit_code, golden->exit_code);
+      ++runs;
+    }
+  }
+  EXPECT_EQ(runs, std::size(kGoldenRuns));
+}
+
+// I-type encoding written from the ISA field layout (an oracle independent
+// of isa::Encode32): imm[11:0] | rs1 | funct3 | rd | opcode.
+uint32_t EncodeIType(int32_t imm, uint32_t rs1, uint32_t funct3, uint32_t rd,
+                     uint32_t opcode) {
+  return (static_cast<uint32_t>(imm & 0xFFF) << 20) | (rs1 << 15) |
+         (funct3 << 12) | (rd << 7) | opcode;
+}
+
+// The patch site is the instruction after the auipc. Each pass runs it,
+// then overwrites it with the store given (data in a1); the second pass
+// runs the patched code. Branches only go backwards, and the program is
+// encoded uncompressed (the assembler lays labels out at 4 bytes each).
+std::string PatchLoop(const std::string& patch_store) {
+  return R"(
+    li a0, 0
+    li t1, 2
+  loop:
+    auipc t0, 0
+    addi a0, a0, 1     # patch site: t0 + 4
+    )" + patch_store + R"(
+    addi t1, t1, -1
+    bnez t1, loop
+    ecall
+  )";
+}
+
+constexpr uint32_t kAddiOpcode = 0x13;
+constexpr uint32_t kA0 = 10;
+
+TEST(FastPathTest, StoreOverExecutedInstructionIsRefetched) {
+  // First pass adds 1; the word store rewrites the site to add 100.
+  const uint32_t add100 = EncodeIType(100, kA0, 0, kA0, kAddiOpcode);
+  const ExecStats stats = RunAsm(PatchLoop("sw a1, 4(t0)"), 0, add100);
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 101);
+}
+
+TEST(FastPathTest, StoreOverSecondHalfwordIsRefetched) {
+  // addi a0,a0,1 and addi a0,a0,100 differ only in imm[11:0], bits 31:20:
+  // a halfword store to the site's upper half is the whole patch. The
+  // cached entry sits at the site's pc, two bytes below the store.
+  const uint32_t add1 = EncodeIType(1, kA0, 0, kA0, kAddiOpcode);
+  const uint32_t add100 = EncodeIType(100, kA0, 0, kA0, kAddiOpcode);
+  ASSERT_EQ(add1 & 0xFFFF, add100 & 0xFFFF);
+  const ExecStats stats = RunAsm(PatchLoop("sh a1, 6(t0)"), 0, add100 >> 16);
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 101);
+}
+
+TEST(FastPathTest, ByteStoreIntoInstructionIsRefetched) {
+  // imm[11:4] is the top byte: a byte store at site+3 turns +1 into +65.
+  const uint32_t add65 = EncodeIType(65, kA0, 0, kA0, kAddiOpcode);
+  const ExecStats stats = RunAsm(PatchLoop("sb a1, 7(t0)"), 0, add65 >> 24);
+  EXPECT_EQ(stats.exit_code, 66);
+}
+
+TEST(FastPathTest, CompressedSiteIsRefetched) {
+  // The site as two 2-byte instructions, c.addi a0, 1 then c.nop (same
+  // size, so the loop's label offsets still hold); the halfword store
+  // turns the first into c.addi a0, 5.
+  constexpr uint16_t kCAddiA0Imm1 = (kA0 << 7) | (1 << 2) | 0b01;
+  constexpr uint16_t kCAddiA0Imm5 = (kA0 << 7) | (5 << 2) | 0b01;
+  constexpr uint16_t kCNop = 0b01;
+  auto assembled = Assemble(PatchLoop("sh a1, 4(t0)"));
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(EncodeProgram(assembled->instructions, false, bytes).ok());
+  const size_t site = 3 * 4;  // li, li, auipc
+  ASSERT_EQ(bytes[site] | bytes[site + 1] << 8,
+            EncodeIType(1, kA0, 0, kA0, kAddiOpcode) & 0xFFFF);
+  bytes[site] = kCAddiA0Imm1 & 0xFF;
+  bytes[site + 1] = kCAddiA0Imm1 >> 8;
+  bytes[site + 2] = kCNop & 0xFF;
+  bytes[site + 3] = kCNop >> 8;
+  Soc soc;
+  soc.LoadProgram(bytes);
+  const ExecStats stats = soc.Run(kRamBase, 0, kCAddiA0Imm5);
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 6);
+}
+
+TEST(FastPathTest, RerunAfterDirectMemoryWriteSeesNewCode) {
+  // Reset empties the predecode table: a program rewritten through
+  // Soc::memory() between runs executes as rewritten.
+  auto assembled = Assemble("li a0, 1\n ecall\n");
+  ASSERT_TRUE(assembled.ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(EncodeProgram(assembled->instructions, false, bytes).ok());
+  Soc soc;
+  soc.LoadProgram(bytes);
+  EXPECT_EQ(soc.Run().exit_code, 1);
+  soc.memory().Write(kRamBase, EncodeIType(9, 0, 0, kA0, kAddiOpcode), 4);
+  EXPECT_EQ(soc.Run().exit_code, 9);
+}
+
+TEST(FastPathTest, PageCrossingAccessesRoundTrip) {
+  Memory m;
+  const uint64_t edge = kRamBase + Memory::kPageBytes;
+  m.Write(edge - 3, 0x1122334455667788ull, 8);  // 3 bytes below, 5 above
+  EXPECT_EQ(m.Read(edge - 3, 8), 0x1122334455667788ull);
+  EXPECT_EQ(m.Read(edge - 3, 2), 0x7788ull);
+  EXPECT_EQ(m.Read(edge - 1, 2), 0x5566ull);  // straddles the edge
+  EXPECT_EQ(m.Read(edge, 4), 0x22334455ull);
+  EXPECT_EQ(m.ResidentPages(), 2u);
+  // Half-mapped: the resident side reads back, the other side as zero,
+  // and reading allocates nothing.
+  const uint64_t next_edge = edge + 2 * Memory::kPageBytes;
+  m.Write(next_edge - 2, 0xBEEF, 2);
+  EXPECT_EQ(m.Read(next_edge - 2, 4), 0xBEEFull);
+  EXPECT_EQ(m.Read(next_edge - 1, 8), 0xBEull);
+  EXPECT_EQ(m.ResidentPages(), 3u);
+
+  // The core: sp = kStackTop is page aligned, so -4(sp) straddles a page.
+  const ExecStats stats = RunAsm(R"(
+    li t0, 0x3c
+    slli t0, t0, 32
+    addi t0, t0, 0x2a
+    sd t0, -4(sp)
+    lw t1, -4(sp)
+    lw t2, 0(sp)       # bytes 4..7 of the doubleword: 0x3c
+    add a0, t1, t2
+    ecall
+  )");
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 0x3c + 0x2a);
+}
+
+TEST(FastPathTest, OnlyDeviceWindowAccessesReachMmioHandlers) {
+  auto assembled = Assemble(R"(
+    li t0, 0x10000000
+    li t1, 65
+    sb t1, 0(t0)       # console: a device store
+    sd t1, -8(sp)      # RAM
+    ld t2, -8(sp)      # RAM
+    lw t3, 0(t0)       # console: a device load
+    sw t1, 4(t0)       # in the window, no device: RAM
+    lw t4, 4(t0)
+    add a0, t2, t4
+    sd a0, 8(t0)       # exit device
+  )");
+  ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(EncodeProgram(assembled->instructions, false, bytes).ok());
+
+  Memory memory;
+  memory.WriteBlock(kRamBase, bytes);
+  Cpu cpu(memory);
+  cpu.SetCodeRange(kRamBase, bytes.size());
+  std::vector<uint64_t> seen;
+  std::string console;
+  MmioHandlers handlers;
+  handlers.base = kConsoleAddr;
+  handlers.limit = kExitAddr + 8;
+  handlers.store = [&](uint64_t addr, uint64_t value, int) {
+    seen.push_back(addr);
+    if (addr == kConsoleAddr) console.push_back(static_cast<char>(value));
+    if (addr == kExitAddr) cpu.RequestExit(static_cast<int64_t>(value));
+    return addr == kConsoleAddr || addr == kExitAddr;
+  };
+  handlers.load = [&](uint64_t addr, uint64_t* value, int) {
+    seen.push_back(addr);
+    *value = 0;
+    return addr == kConsoleAddr || addr == kExitAddr;
+  };
+  cpu.set_mmio(std::move(handlers));
+  cpu.Reset(kRamBase, kStackTop);
+  const ExecStats stats = cpu.Run();
+
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 130);
+  EXPECT_EQ(console, "A");
+  // The two RAM accesses below sp never reached a handler; the window's
+  // four did, including the two at kConsoleAddr+4 that no device claims.
+  EXPECT_EQ(seen, (std::vector<uint64_t>{kConsoleAddr, kConsoleAddr,
+                                         kConsoleAddr + 4, kConsoleAddr + 4,
+                                         kExitAddr}));
+  EXPECT_EQ(memory.Read(kConsoleAddr + 4, 4), 65u);
+}
+
+TEST(FastPathTest, SocDevicesStillWorkBesideRam) {
+  const ExecStats stats = RunAsm(R"(
+    li t0, 0x10000000
+    li t1, 79          # 'O'
+    sb t1, 0(t0)
+    sd t1, -8(sp)
+    ld a0, -8(sp)
+    sd a0, 8(t0)       # exit with 79
+    li a0, 1           # never runs
+    ecall
+  )");
+  EXPECT_EQ(stats.halt_reason, HaltReason::kExit);
+  EXPECT_EQ(stats.exit_code, 79);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@ meaningful across machines — ratios and simulator cycle counts, never
 absolute wall times (a slower runner is not a regression) — against the
 committed baselines in bench/baselines/. A metric moving more than its
 threshold in the bad direction fails the build loudly; so does any bench
-whose own "pass" acceptance bit went false.
+whose own "pass" acceptance bit went false, and so does any change at all
+to an exact invariant (EXACT_LISTS: the per-workload Fig 7 cycle counts).
 
 Usage:
   tools/bench_compare.py [--baseline-dir bench/baselines] [--current-dir .]
@@ -88,6 +89,17 @@ METRICS = [
     ("BENCH_obs.json", "health.eval_vs_record_ratio", "lower", 100.0),
 ]
 
+# Invariants gated at tolerance 0: the paper's Fig 7 plain and HDE cycle
+# counts per workload, on every ISA. Any optimisation of the simulator or
+# the HDE model must leave them exact, so a drift of one cycle fails.
+# (file, dotted path to a list of {"name": ...} entries, fields).
+# Entries are matched by name, never by position.
+EXACT_LISTS = [
+    ("BENCH_fig7_exec.json", "workloads", ("plain_cycles", "hde_cycles")),
+    ("BENCH_isa.json", "rv64gc.workloads", ("plain_cycles", "hde_cycles")),
+    ("BENCH_isa.json", "rv32i.workloads", ("plain_cycles", "hde_cycles")),
+]
+
 
 def lookup(doc, dotted):
     node = doc
@@ -102,6 +114,53 @@ def numeric(value):
     """True for int/float metric values; bool is JSON true/false, not a
     number you can regress against."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_exact(name, baseline, current, failures):
+    """Applies the EXACT_LISTS gates of file `name`; returns how many
+    values it compared."""
+    checked = 0
+    for exact_file, path, fields in EXACT_LISTS:
+        if exact_file != name:
+            continue
+        base_list = lookup(baseline, path)
+        cur_list = lookup(current, path)
+        if not isinstance(base_list, list):
+            print("SKIP %s %s: not in baseline (stale baseline?)" %
+                  (name, path))
+            continue
+        if not isinstance(cur_list, list):
+            failures.append("%s: list %s vanished from fresh output" %
+                            (name, path))
+            continue
+        fresh = {e.get("name"): e for e in cur_list if isinstance(e, dict)}
+        for entry in base_list:
+            if not isinstance(entry, dict) or "name" not in entry:
+                continue
+            label = "%s %s[%s]" % (name, path, entry["name"])
+            if entry["name"] not in fresh:
+                failures.append("%s: entry vanished from fresh output" %
+                                label)
+                continue
+            for field in fields:
+                base_value = entry.get(field)
+                cur_value = fresh[entry["name"]].get(field)
+                if not numeric(base_value) or not numeric(cur_value):
+                    failures.append("%s.%s: not numeric (baseline %r, "
+                                    "fresh %r)" % (label, field, base_value,
+                                                   cur_value))
+                    continue
+                checked += 1
+                if cur_value != base_value:
+                    print("  %-10s %s.%s: baseline %d -> current %d "
+                          "(tolerance 0)" % ("DRIFT", label, field,
+                                             base_value, cur_value))
+                    failures.append("%s.%s: %d -> %d, an exact invariant "
+                                    "(tolerance 0)" % (label, field,
+                                                       base_value, cur_value))
+        print("  %-10s %s %s: %s exact per entry" %
+              ("exact", name, path, "/".join(fields)))
+    return checked
 
 
 def load_json(path, failures):
@@ -132,7 +191,8 @@ def main():
     # (0 when nothing regressed at all).
     worst_pct = 0.0
     worst_metric = None
-    for name in sorted({name for name, _, _, _ in METRICS}):
+    for name in sorted({name for name, _, _, _ in METRICS} |
+                       {name for name, _, _ in EXACT_LISTS}):
         baseline_path = os.path.join(args.baseline_dir, name)
         current_path = os.path.join(args.current_dir, name)
         if not os.path.exists(baseline_path):
@@ -150,6 +210,8 @@ def main():
         if current.get("pass") is False:
             failures.append("%s: the bench's own acceptance criterion "
                             "failed (pass=false)" % name)
+
+        checked += check_exact(name, baseline, current, failures)
 
         for metric_file, path, direction, threshold in METRICS:
             if metric_file != name:

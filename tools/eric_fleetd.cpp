@@ -34,7 +34,8 @@
 // unlimited) and --burst B (default 1) token-bucket dispatch;
 // --group-concurrency N caps in-flight deliveries per group.
 // --pause-after MS pauses the rollout that long into the campaign,
-// holds it --pause-for MS (default 250), then resumes. --verbose lists
+// holds it --pause-for MS (default 250), then resumes; a campaign that
+// ends first is never paused or held. --verbose lists
 // every device's outcome under its wave.
 //
 // --state-dir DIR makes the fleet durable: enrollments and revocations
@@ -106,11 +107,13 @@
 // the same state dir.
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1603,17 +1606,28 @@ int main(int argc, char** argv) {
   }
   fleet::ScheduledReport report;
   if (!campaign.devices.empty()) {
+    // The pauser waits on `ended`, not a plain sleep: a campaign that
+    // finishes first is neither paused nor resumed, and the process exits
+    // as soon as the campaign returns.
+    std::mutex ended_mu;
+    std::condition_variable ended_cv;
+    bool ended = false;
+    auto wait_for_end = [&](int64_t ms) {
+      std::unique_lock<std::mutex> lock(ended_mu);
+      return ended_cv.wait_for(lock, std::chrono::milliseconds(ms),
+                               [&] { return ended; });
+    };
     std::thread pauser;
     if (pause_after_ms > 0) {
       pauser = std::thread([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(pause_after_ms));
+        if (wait_for_end(pause_after_ms)) return;
         control.Pause();
         const auto at_pause = control.progress();
         std::printf("[control] paused %lld ms in (wave %u, %llu deliveries)\n",
                     static_cast<long long>(pause_after_ms),
                     at_pause.waves_started,
                     static_cast<unsigned long long>(at_pause.deliveries));
-        std::this_thread::sleep_for(std::chrono::milliseconds(pause_for_ms));
+        if (wait_for_end(pause_for_ms)) return;
         control.Resume();
         std::printf("[control] resumed after %lld ms\n",
                     static_cast<long long>(pause_for_ms));
@@ -1622,6 +1636,11 @@ int main(int argc, char** argv) {
     auto scheduled =
         fleet::CampaignScheduler(engine, registry).Run(campaign, rollout,
                                                        &control);
+    {
+      std::lock_guard<std::mutex> lock(ended_mu);
+      ended = true;
+    }
+    ended_cv.notify_all();
     if (pauser.joinable()) pauser.join();
     if (!scheduled.ok()) {
       std::fprintf(stderr, "campaign failed: %s\n",

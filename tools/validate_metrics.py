@@ -181,6 +181,26 @@ def validate_net_family(counters, gauges, histograms):
                 f"[0, net_connections_accepted = {accepted}]")
 
 
+# The simulator's metric family (sim/soc.cpp): recorded once per Soc::Run,
+# so MIPS is sim_instructions over the summed sim_exec_us. No arithmetic
+# between them is checked: a live snapshot can land between the three
+# updates of one run.
+SIM_COUNTERS = ("sim_instructions", "sim_cycles")
+SIM_HISTOGRAMS = ("sim_exec_us",)
+
+
+def validate_sim_family(counters, histograms):
+    """The sim_* family: names must be ones Soc::Run registers."""
+    for name in counters:
+        if name.startswith("sim_") and name not in SIM_COUNTERS:
+            problem(f"counter {name!r}: not a counter the simulator "
+                    "registers (stale validator or typo'd metric?)")
+    for name in histograms if isinstance(histograms, dict) else ():
+        if name.startswith("sim_") and name not in SIM_HISTOGRAMS:
+            problem(f"histogram {name!r}: not a histogram the simulator "
+                    "registers")
+
+
 def validate_gauges(gauges):
     if not isinstance(gauges, dict):
         problem("'gauges' is not an object")
@@ -395,6 +415,7 @@ def validate_snapshot(doc, require_counters, require_histograms,
         validate_isa_counters(doc["counters"])
         validate_net_family(doc["counters"], doc["gauges"],
                             doc["histograms"])
+        validate_sim_family(doc["counters"], doc["histograms"])
     validate_gauges(doc["gauges"])
     for name, hist in doc["histograms"].items():
         validate_histogram(name, hist)
