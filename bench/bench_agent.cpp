@@ -1,7 +1,7 @@
 // Device-side update-agent economics: what a staged A/B apply costs,
 // what a rollback costs, what the durable slot manifest adds on top of
 // the image bytes, and how fast the chaos-soak's campaign loop turns
-// over when every apply is a full stage/verify/flip/health cycle with
+// over when every apply is a full stage/flip/health/commit cycle with
 // crash injection in the mix.
 //
 // Headline metrics:

@@ -2,9 +2,8 @@
 // and what cold-start recovery costs as the fleet grows.
 //
 // Part 1 — append throughput by sync policy. Four worker threads append
-// fixed-size records under each policy: fsync-per-append (the durability
-// ceiling), group commit (one fsync covers a batch of concurrent
-// appends), and no-fsync (the OS-cache floor). After each run the log is
+// fixed-size records under each policy: fsync-per-append (the default)
+// and no-fsync (the OS-cache floor). After each run the log is
 // replayed to prove every acknowledged record is present and intact —
 // throughput that loses records is not throughput.
 //
@@ -146,7 +145,6 @@ int main(int argc, char** argv) {
   };
   const ModeSpec modes[] = {
       {"fsync-per-append", store::SyncMode::kEveryAppend},
-      {"group-commit", store::SyncMode::kGroupCommit},
       {"no-fsync", store::SyncMode::kNever},
   };
   std::vector<AppendPoint> appends;
@@ -163,13 +161,7 @@ int main(int argc, char** argv) {
                 point.intact ? "(replay intact)" : "REPLAY DAMAGED");
     appends.push_back(point);
   }
-  // Headline: what sharing fsyncs buys over paying one per record.
-  const double group_commit_speedup =
-      appends[0].appends_per_second > 0
-          ? appends[1].appends_per_second / appends[0].appends_per_second
-          : 0;
-  std::printf("  group-commit over fsync-per-append: %.1fx %s\n\n",
-              group_commit_speedup, all_intact ? "PASS" : "FAIL");
+  std::printf("  replay %s\n\n", all_intact ? "PASS" : "FAIL");
 
   // --- Part 2: cold-start recovery vs fleet size ----------------------------
   std::printf("PART 2: registry cold-start recovery vs fleet size\n");
@@ -248,7 +240,6 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
-  json.Field("group_commit_speedup", group_commit_speedup);
   json.Key("recovery");
   json.BeginArray();
   for (const auto& point : recoveries) {

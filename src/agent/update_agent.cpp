@@ -55,6 +55,7 @@ struct AgentMetrics {
   obs::Counter& health_failures;
   obs::Counter& crash_recoveries;
   obs::Counter& persist_failures;
+  obs::Counter& manifest_writes;
   obs::Histogram& apply_us;
   obs::Histogram& rollback_us;
 
@@ -66,6 +67,7 @@ struct AgentMetrics {
         registry.GetCounter("agent_health_failures"),
         registry.GetCounter("agent_crash_recoveries"),
         registry.GetCounter("agent_persist_failures"),
+        registry.GetCounter("agent_manifest_writes"),
         registry.GetHistogram("agent_apply_us"),
         registry.GetHistogram("agent_rollback_us"),
     };
@@ -111,12 +113,8 @@ CrashPoint UpdateAgent::DrawCrash() {
   Xoshiro256 rng(crash_rng_state_);
   crash_rng_state_ = rng.Next();  // advance the stream per apply
   if (rng.NextDouble() >= crash_rate_) return CrashPoint::kNone;
-  switch (rng.Next() % 4) {
-    case 0: return CrashPoint::kAfterStage;
-    case 1: return CrashPoint::kAfterVerify;
-    case 2: return CrashPoint::kAfterFlip;
-    default: return CrashPoint::kDuringHealth;
-  }
+  return rng.Next() % 2 == 0 ? CrashPoint::kAfterFlip
+                             : CrashPoint::kDuringHealth;
 }
 
 std::vector<uint8_t> UpdateAgent::SerializeManifest() const {
@@ -185,6 +183,7 @@ Status UpdateAgent::Persist() {
                                      std::strerror(fail_errno)));
   }
   store::SyncParentDir(manifest_path_);
+  AgentMetrics::Get().manifest_writes.Add(1);
   return Status::Ok();
 }
 
@@ -311,8 +310,8 @@ bool UpdateAgent::RecoverLocked() {
                    "health verdict never arrived",
                    device_id_, obs::CurrentTraceId());
   } else if (staged_slot_ >= 0) {
-    // Stage or verify never completed: discard the half-applied image;
-    // the active slot was never touched.
+    // A pre-flip phase, as older agents persisted it: discard the staged
+    // image; the active slot was never touched.
     slots_[staged_slot_].present = false;
   }
   previous_slot_ = -1;
@@ -352,7 +351,8 @@ Status UpdateAgent::Apply(std::span<const uint8_t> image, uint64_t version,
   }
   const CrashPoint crash = DrawCrash();
 
-  // --- stage: write the image into the inactive slot ---
+  // --- stage: copy the image into the inactive slot (memory only; the
+  // flip's persist is what makes it durable) ---
   const int target = active_slot_ == 0 ? 1 : 0;
   slots_[target].present = true;
   slots_[target].version = version;
@@ -360,48 +360,26 @@ Status UpdateAgent::Apply(std::span<const uint8_t> image, uint64_t version,
   slots_[target].image_crc = store::Crc32(image);
   slots_[target].image_bytes = image.size();
   images_[target].assign(image.begin(), image.end());
+
+  // --- flip: one atomic manifest write carries the staged image, the
+  // rollback target and the new active slot ---
+  previous_slot_ = active_slot_;
+  active_slot_ = target;
   staged_slot_ = target;
-  phase_ = ApplyPhase::kStaged;
+  phase_ = ApplyPhase::kFlipped;
   Status persisted = Persist();
   if (!persisted.ok()) {
-    // Nothing flipped: forget the stage and report the device unable to
-    // make the update durable.
+    // The manifest on disk still describes the pre-apply device: undo
+    // the flip in memory and report the update as not made durable.
     slots_[target].present = false;
+    active_slot_ = previous_slot_;
+    previous_slot_ = -1;
     staged_slot_ = -1;
     phase_ = ApplyPhase::kIdle;
     span.set_ok(false);
     return persisted;
   }
-  if (crash == CrashPoint::kAfterStage) {
-    span.set_ok(false);
-    return Status(ErrorCode::kInternal,
-                  std::string(kInjectedCrashPrefix) + " (after stage)");
-  }
-
-  // --- verify: the staged bytes must read back CRC-clean ---
-  if (store::Crc32(images_[target]) != slots_[target].image_crc) {
-    slots_[target].present = false;
-    staged_slot_ = -1;
-    phase_ = ApplyPhase::kIdle;
-    (void)Persist();
-    span.set_ok(false);
-    return Status(ErrorCode::kCorruptPackage,
-                  "staged image failed CRC verification");
-  }
-  phase_ = ApplyPhase::kVerified;
-  ERIC_RETURN_IF_ERROR(Persist());
-  if (crash == CrashPoint::kAfterVerify) {
-    span.set_ok(false);
-    return Status(ErrorCode::kInternal,
-                  std::string(kInjectedCrashPrefix) + " (after verify)");
-  }
-
-  // --- flip: the staged slot becomes the boot slot ---
-  previous_slot_ = active_slot_;
-  active_slot_ = target;
-  phase_ = ApplyPhase::kFlipped;
-  ERIC_RETURN_IF_ERROR(Persist());
-  if (crash == CrashPoint::kAfterFlip || crash == CrashPoint::kDuringHealth) {
+  if (crash != CrashPoint::kNone) {
     span.set_ok(false);
     return Status(ErrorCode::kInternal,
                   std::string(kInjectedCrashPrefix) +
@@ -409,7 +387,7 @@ Status UpdateAgent::Apply(std::span<const uint8_t> image, uint64_t version,
                                                        : " (during health)"));
   }
 
-  // --- health: a short sim execution proves the new image boots ---
+  // --- health: the device's self-test of the new image ---
   Status healthy = Status::Ok();
   if (forced_health_failures_ > 0) {
     --forced_health_failures_;
@@ -425,7 +403,7 @@ Status UpdateAgent::Apply(std::span<const uint8_t> image, uint64_t version,
     AgentMetrics::Get().health_failures.Add(1);
     AgentMetrics::Get().rollbacks.Add(1);
     obs::EmitEvent(obs::EventSeverity::kError, "agent",
-                   "post-apply health check failed, rolled back: " +
+                   "post-apply self-test failed, rolled back: " +
                        healthy.message(),
                    device_id_, obs::CurrentTraceId());
     slots_[target].present = false;
@@ -439,6 +417,7 @@ Status UpdateAgent::Apply(std::span<const uint8_t> image, uint64_t version,
     return healthy;
   }
 
+  // --- commit ---
   previous_slot_ = -1;
   staged_slot_ = -1;
   phase_ = ApplyPhase::kIdle;

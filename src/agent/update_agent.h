@@ -4,26 +4,26 @@
 // not run whatever arrives on the wire — it *applies* an update through a
 // staged state machine and keeps the previous image bootable until the new
 // one proves itself. This module is that machine, shaped after staged
-// firmware-apply flows on live probes (blackmagic's upgrade/flashstub):
+// firmware-apply flows on live probes (blackmagic's upgrade/flashstub).
+// The caller hands it only images the device's HDE already accepted; a
+// package the HDE refuses never reaches the agent.
 //
-//       stage          verify           flip            health
-//   ┌─────────┐    ┌───────────┐   ┌───────────┐   ┌─────────────┐
-//   │ write   │ -> │ CRC of    │-> │ staged    │-> │ short sim   │-> idle
-//   │ inactive│    │ staged    │   │ slot made │   │ execution   │
-//   │ slot    │    │ bytes     │   │ active    │   │ (HDE + run) │
-//   └─────────┘    └───────────┘   └───────────┘   └──────┬──────┘
-//        │               │               │                │ failure
-//        └── crash ──────┴── crash ──────┴─── crash ──────┤
-//            discard staged, keep old    rollback to      ▼
-//            active slot                 previous slot   rollback
+//       stage            flip              health           commit
+//   ┌──────────┐   ┌─────────────┐   ┌─────────────┐   ┌───────────┐
+//   │ copy into│-> │ staged slot │-> │ short sim   │-> │ phase     │-> idle
+//   │ inactive │   │ made active │   │ execution   │   │ idle      │
+//   │ slot (RAM)   │ PERSIST     │   │ (self-test) │   │ PERSIST   │
+//   └──────────┘   └──────┬──────┘   └──────┬──────┘   └───────────┘
+//                         │ crash           │ failure
+//                         └──── rollback to the previous slot
 //
-// Every arrow persists the slot manifest first (write-ahead, like the
-// registry's revoke discipline): the manifest is serialized with
+// A durable apply writes the slot manifest twice: once at the flip (the
+// staged image, the previous slot and phase kFlipped in one atomic file)
+// and once at the commit. The manifest is serialized with
 // store::RecordWriter, CRC32-framed like a snapshot, and written
 // atomically (tmp + fsync + rename + dir fsync), so a crash at ANY point
-// leaves a manifest that Recover() turns back into a runnable state —
-// an apply interrupted before the flip is discarded, one interrupted
-// after the flip is rolled back to the previous slot. The active slot
+// leaves either the pre-apply manifest (nothing happened) or the flipped
+// one, which Recover() rolls back to the previous slot. The active slot
 // therefore always holds a CRC-valid image that passed its health check
 // (or the device has no image at all, never a torn one).
 //
@@ -51,8 +51,10 @@ namespace eric::agent {
 /// Where an in-flight apply currently stands (persisted in the manifest).
 enum class ApplyPhase : uint8_t {
   kIdle = 0,     ///< no apply in flight; active slot (if any) is healthy
-  kStaged = 1,   ///< image written into the inactive slot
-  kVerified = 2, ///< staged bytes re-read and CRC-checked
+  /// Pre-flip phases. Only manifests written by older agents carry them
+  /// (today's agent stages in memory); Recover() discards the staged slot.
+  kStaged = 1,
+  kVerified = 2,  ///< see kStaged
   kFlipped = 3,  ///< staged slot made active; health check not yet passed
 };
 
@@ -60,13 +62,11 @@ enum class ApplyPhase : uint8_t {
 std::string_view ApplyPhaseName(ApplyPhase phase);
 
 /// Crash-injection points for tests and the chaos soak: the agent stops
-/// mid-apply *after* the named step's manifest persist, exactly as a
-/// power cut there would.
+/// mid-apply *after* the flip's manifest persist, exactly as a power cut
+/// there would. (A cut before the flip persist leaves the pre-apply
+/// manifest untouched: there is nothing to recover.)
 enum class CrashPoint : uint8_t {
   kNone = 0,     ///< no injected crash
-
-  kAfterStage,   ///< manifest says kStaged; staged bytes durable
-  kAfterVerify,  ///< manifest says kVerified
   kAfterFlip,    ///< manifest says kFlipped; health never ran
   kDuringHealth, ///< health check started but its verdict was lost
 };
@@ -86,8 +86,8 @@ struct SlotInfo {
 /// restarted device still reports its history).
 struct AgentCounters {
   uint64_t applies = 0;           ///< updates that passed health
-  uint64_t rollbacks = 0;         ///< flips undone (health fail or crash)
-  uint64_t health_failures = 0;   ///< post-flip health checks that failed
+  uint64_t rollbacks = 0;         ///< flips undone (self-test fail or crash)
+  uint64_t health_failures = 0;   ///< post-flip self-tests that failed
   uint64_t crash_recoveries = 0;  ///< interrupted applies cleaned up
   uint64_t persist_failures = 0;  ///< manifest writes that failed (not persisted)
 };
@@ -110,8 +110,9 @@ class UpdateAgent {
   /// `device_id` labels metrics/spans and is stamped into the manifest.
   UpdateAgent(uint64_t device_id, std::string manifest_path);
 
-  /// Runs the health check for an image: a short sim execution through
-  /// the device's HDE (validation + run). Any failure vetoes the apply.
+  /// Runs the health check for an image: the device's self-test of the
+  /// just-flipped image (in the fleet layer, a short sim execution of the
+  /// plaintext the HDE already validated). Any failure vetoes the apply.
   using HealthCheck = std::function<Status(std::span<const uint8_t> image)>;
 
   /// Loads the manifest (if any) and finishes whatever a crash
@@ -120,7 +121,7 @@ class UpdateAgent {
   /// agent (or replaying recovery repeatedly) is a no-op.
   Status Recover();
 
-  /// One full staged apply: stage -> verify -> flip -> health check.
+  /// One full staged apply: stage -> flip -> health check -> commit.
   /// On health failure the flip is undone (previous slot active again)
   /// and the health check's own status is returned. An apply left
   /// in flight by a crash is recovered first.

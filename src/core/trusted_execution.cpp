@@ -15,14 +15,9 @@ Result<TrustedRunResult> TrustedDevice::ReceiveAndRun(
     const sim::ExecLimits& limits) {
   Result<HdeOutput> validated = hde_.DecryptAndValidate(wire_bytes);
   if (!validated.ok()) return validated.status();
-
   // Only now does the program enter the trusted zone (main memory).
-  sim::Soc soc(timing_, isa_);
-  soc.LoadProgram(validated->image);
-  TrustedRunResult out;
+  TrustedRunResult out = RunPlaintext(validated->image, arg0, arg1, limits);
   out.hde_cycles = validated->cycles;
-  out.exec = soc.Run(sim::kRamBase, arg0, arg1, limits);
-  out.console_output = soc.console_output();
   return out;
 }
 

@@ -43,13 +43,15 @@ class TrustedDevice {
   crypto::Key256 Enroll() { return hde_.EnrollAndShareKey(); }
 
   /// Receives a wire-format package, validates it through the HDE, and —
-  /// only on success — loads and runs it.
+  /// only on success — loads and runs it: `hde().DecryptAndValidate`,
+  /// then RunPlaintext on the validated image with the HDE's cycles.
   Result<TrustedRunResult> ReceiveAndRun(std::span<const uint8_t> wire_bytes,
                                          uint64_t arg0 = 0, uint64_t arg1 = 0,
                                          const sim::ExecLimits& limits = {});
 
-  /// Baseline path: runs a plaintext image directly (no HDE), for the
-  /// Fig 7 baseline and for tests.
+  /// Runs a plaintext image directly (no HDE): the Fig 7 baseline, and
+  /// the run half of ReceiveAndRun for an image the HDE already
+  /// validated. `hde_cycles` is left zero.
   TrustedRunResult RunPlaintext(std::span<const uint8_t> image,
                                 uint64_t arg0 = 0, uint64_t arg1 = 0,
                                 const sim::ExecLimits& limits = {});

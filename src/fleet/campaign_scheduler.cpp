@@ -112,6 +112,7 @@ Result<ScheduledReport> CampaignScheduler::Run(const CampaignConfig& config,
     scheduled.bytes_shipped += wave.report.bytes_shipped;
     scheduled.bytes_full_equivalent += wave.report.bytes_full_equivalent;
     scheduled.manifest_update_failures += wave.report.manifest_update_failures;
+    scheduled.rejections += wave.report.rejections;
     scheduled.rollbacks += wave.report.rollbacks;
     scheduled.health_failures += wave.report.health_failures;
     scheduled.cache_artifact_hits += wave.report.cache_artifact_hits;

@@ -108,8 +108,9 @@ struct ScheduledReport {
   /// Successful deliveries whose manifest update could not be made
   /// durable (summed across waves; the devices mis-diff next campaign).
   uint64_t manifest_update_failures = 0;
+  uint64_t rejections = 0;       ///< targets whose HDE refused an image
   uint64_t rollbacks = 0;        ///< targets whose agent rolled a flip back
-  uint64_t health_failures = 0;  ///< targets with a health-check rejection
+  uint64_t health_failures = 0;  ///< targets with a failed self-test
   uint64_t cache_artifact_hits = 0;    ///< sealed artifacts served from cache
   uint64_t cache_artifact_misses = 0;  ///< seal operations performed
   uint64_t cache_compile_misses = 0;   ///< compilations performed

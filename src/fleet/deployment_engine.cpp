@@ -293,10 +293,11 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
   // delivery ordinal, ships `payload`, and dispatches it in the form it
   // was sealed as.
   uint32_t delivery_index = 0;
-  // Out-state of the most recent delivery's agent apply: the retry loop
-  // distinguishes "the delivery never became an image" from "the image
-  // applied and the device's health check vetoed it".
-  bool last_health_failed = false;
+  // Out-state of the most recent delivery: the retry loop distinguishes
+  // "the delivery never became an image" from "the image was whole and
+  // the device vetoed it" (its HDE refused it, or the agent applied it
+  // and the self-test failed).
+  bool last_vetoed = false;
   const auto deliver_once = [&](const CachedArtifact& payload,
                                 bool as_delta) -> Result<core::TrustedRunResult> {
     // One attempt = one "deliver" span (channel transit + latency sleep
@@ -336,7 +337,7 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
         .fetch_add(1, std::memory_order_relaxed);
     Result<core::TrustedRunResult> run = Status(
         ErrorCode::kUnavailable, "delivery never reached the device");
-    last_health_failed = false;
+    last_vetoed = false;
     if (delivered.ok()) {
       DispatchMeta meta;
       meta.version = memo.target_version;
@@ -345,9 +346,10 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
                                                config.arg0, config.arg1, &meta)
                      : registry_.Dispatch(device, *delivered, config.arg0,
                                           config.arg1, &meta);
+      outcome.rejected |= meta.rejected;
       outcome.rolled_back |= meta.rolled_back;
-      outcome.health_failed |= meta.health_failed;
-      last_health_failed = meta.health_failed;
+      outcome.health_failed |= meta.health_failed && !meta.rejected;
+      last_vetoed = meta.health_failed;
     } else {
       // Transport-level failure (timeout, disconnect, backpressure):
       // the attempt is spent, the retry loop decides what happens next.
@@ -390,20 +392,20 @@ DeviceOutcome DeploymentEngine::DeployOne(const CampaignConfig& config,
     bool fallback_refused = false;
     if (use_delta && !run.ok() &&
         (run.status().code() == ErrorCode::kCorruptPackage ||
-         last_health_failed)) {
+         last_vetoed)) {
       // The patch failed closed (corrupted in flight, or the device's
       // retained base is not what the manifest promised — the wrong-base
-      // CRC catches both), OR it applied cleanly and the device's
-      // post-apply health check vetoed it (the agent already rolled back
-      // to the previous slot). Either way the delta is a dead end for
-      // this target: a health failure after a byte-exact reconstruction
-      // reproduces deterministically, so retrying the same patch burns
-      // budget for nothing. The fallback protocol ships the full package
-      // immediately — without consuming the retry budget (the same rule
-      // for both failure shapes), but under its own governor admission:
-      // it is a second wire delivery, and the rate/budget contracts are
-      // per delivery. This target stays on full packages for any further
-      // retries.
+      // CRC catches both), OR it applied cleanly and the device vetoed
+      // the patched image (its HDE refused it, or its self-test failed
+      // and the agent rolled back to the previous slot). Either way the
+      // delta is a dead end for this target: a veto after a byte-exact
+      // reconstruction reproduces deterministically, so retrying the same
+      // patch burns budget for nothing. The fallback protocol ships the
+      // full package immediately — without consuming the retry budget
+      // (the same rule for every failure shape), but under its own
+      // governor admission: it is a second wire delivery, and the
+      // rate/budget contracts are per delivery. This target stays on
+      // full packages for any further retries.
       outcome.delta_fallback = true;
       use_delta = false;
       if (config.governor != nullptr) {
@@ -598,6 +600,7 @@ Result<CampaignReport> DeploymentEngine::Run(const CampaignConfig& config) {
     report.retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
     report.total_device_cycles += outcome.device_cycles;
     if (outcome.delta_fallback) ++report.delta_fallbacks;
+    if (outcome.rejected) ++report.rejections;
     if (outcome.rolled_back) ++report.rollbacks;
     if (outcome.health_failed) ++report.health_failures;
     if (outcome.attempts > 0) {

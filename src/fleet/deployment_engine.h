@@ -115,12 +115,16 @@ struct DeviceOutcome {
   /// base) or was vetoed post-apply by the device's health check, and
   /// the engine fell back to full packages for this target.
   bool delta_fallback = false;
+  /// The device's HDE refused at least one delivered image (corrupted
+  /// on the wire, forged, or sealed for another key/epoch/ISA). Such an
+  /// image is never staged, so it costs no rollback.
+  bool rejected = false;
   /// The device's update agent rolled a flip back at least once while
-  /// serving this target (health-check failure, or an apply interrupted
-  /// by a crash and recovered).
+  /// serving this target (self-test failure, or an apply interrupted by
+  /// a crash and recovered).
   bool rolled_back = false;
-  /// At least one delivery cleared stage/verify/flip and was then
-  /// rejected by the post-apply health check.
+  /// At least one delivery passed the HDE, was flipped to, and then
+  /// failed the device's post-apply self-test.
   bool health_failed = false;
   /// Wire bytes put on the channel for this target, summed over
   /// attempts (pre-fault sizes; what the delta path is minimizing).
@@ -183,10 +187,12 @@ struct CampaignReport {
   /// durable (the delivery itself stands; the device simply gets a full
   /// package next campaign).
   uint64_t manifest_update_failures = 0;
-  /// Targets whose device agent rolled back at least one flip (health
+  /// Targets whose device HDE refused at least one delivered image.
+  uint64_t rejections = 0;
+  /// Targets whose device agent rolled back at least one flip (self-test
   /// failure or crash-recovered apply).
   uint64_t rollbacks = 0;
-  /// Targets that saw at least one post-apply health-check rejection.
+  /// Targets that saw at least one post-apply self-test failure.
   uint64_t health_failures = 0;
 
   double wall_ms = 0;             ///< campaign wall time

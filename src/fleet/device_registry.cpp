@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "obs/events.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pkg/delta.h"
 #include "store/record_io.h"
 #include "store/snapshot.h"
@@ -608,37 +610,70 @@ Result<DeviceRegistry::DeviceRecord*> DeviceRegistry::AnyRecord(DeviceId id) {
   return it->second.get();
 }
 
-Result<core::TrustedRunResult> DeviceRegistry::AgentApplyLocked(
-    DeviceRecord& record, std::span<const uint8_t> image, uint64_t arg0,
-    uint64_t arg1, DispatchMeta* meta) {
+Result<core::TrustedRunResult> DeviceRegistry::DeliverLocked(
+    DeviceRecord& record, std::span<const uint8_t> bytes, bool as_delta,
+    uint64_t arg0, uint64_t arg1, DispatchMeta* meta) {
   agent::UpdateAgent& agent = *record.agent;
   const agent::AgentCounters before = agent.state().counters;
+  Result<core::TrustedRunResult> run = [&]() -> Result<core::TrustedRunResult> {
+    // A crashed apply recovers first (the reboot a real device takes
+    // between two deliveries), so a delta never patches an unproven
+    // image the recovery is about to undo.
+    if (agent.NeedsRecovery()) ERIC_RETURN_IF_ERROR(agent.Recover());
+    std::vector<uint8_t> patched;
+    if (as_delta) {
+      std::span<const uint8_t> base = agent.active_image();
+      if (base.empty()) {
+        // Same code as a corrupt patch: either way the device cannot
+        // turn this delta into a runnable image, and the sender must
+        // fall back to a full package.
+        return Status(ErrorCode::kCorruptPackage,
+                      "device retains no base image to patch");
+      }
+      auto applied = pkg::ApplyDelta(base, bytes);
+      if (!applied.ok()) return applied.status();
+      patched = std::move(*applied);
+      bytes = patched;
+    }
 
-  // The health check IS the delivery's run: HDE validation plus a short
-  // sim execution of the just-flipped image. Its result is captured so
-  // a healthy apply reports the run the caller expects.
-  Result<core::TrustedRunResult> run =
-      Status(ErrorCode::kInternal, "health check never ran");
-  const agent::UpdateAgent::HealthCheck health =
-      [&](std::span<const uint8_t> booted) -> Status {
-    auto executed = record.endpoint->ReceiveAndRun(booted, arg0, arg1);
-    if (!executed.ok()) return executed.status();
-    run = std::move(executed);
-    return Status::Ok();
-  };
+    // The HDE's verdict gates the agent: only an image that decrypts and
+    // validates under this device's PUF key is staged.
+    core::TrustedDevice& device = *record.endpoint;
+    Result<core::HdeOutput> validated = device.hde().DecryptAndValidate(bytes);
+    if (!validated.ok()) {
+      static obs::Counter& rejections =
+          obs::MetricsRegistry::Global().GetCounter("core_hde_rejections");
+      rejections.Add(1);
+      obs::EmitEvent(obs::EventSeverity::kWarn, "hde",
+                     "device HDE rejected the delivered image: " +
+                         validated.status().message(),
+                     record.info.id, obs::CurrentTraceId());
+      if (meta != nullptr) meta->rejected = true;
+      return validated.status();
+    }
 
-  Status applied =
-      agent.Apply(image, meta != nullptr ? meta->version : 0,
-                  meta != nullptr ? meta->key_fingerprint
-                                  : crypto::Sha256Digest{},
-                  health);
+    // The self-test runs the plaintext the HDE just validated: one HDE
+    // pass per delivery.
+    core::TrustedRunResult result;
+    const agent::UpdateAgent::HealthCheck health =
+        [&](std::span<const uint8_t>) -> Status {
+      result = device.RunPlaintext(validated->image, arg0, arg1);
+      result.hde_cycles = validated->cycles;
+      return Status::Ok();
+    };
+    ERIC_RETURN_IF_ERROR(agent.Apply(
+        bytes, meta != nullptr ? meta->version : 0,
+        meta != nullptr ? meta->key_fingerprint : crypto::Sha256Digest{},
+        health));
+    return result;
+  }();
   if (meta != nullptr) {
     const agent::AgentCounters after = agent.state().counters;
     meta->rolled_back = after.rollbacks > before.rollbacks;
-    meta->health_failed = after.health_failures > before.health_failures;
+    meta->health_failed =
+        meta->rejected || after.health_failures > before.health_failures;
     meta->crash_recovered = after.crash_recoveries > before.crash_recoveries;
   }
-  if (!applied.ok()) return applied;
   return run;
 }
 
@@ -648,7 +683,7 @@ Result<core::TrustedRunResult> DeviceRegistry::Dispatch(
   auto record = DispatchableRecord(id);
   if (!record.ok()) return record.status();
   std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  return AgentApplyLocked(**record, wire_bytes, arg0, arg1, meta);
+  return DeliverLocked(**record, wire_bytes, false, arg0, arg1, meta);
 }
 
 Result<core::TrustedRunResult> DeviceRegistry::DispatchDelta(
@@ -657,24 +692,7 @@ Result<core::TrustedRunResult> DeviceRegistry::DispatchDelta(
   auto record = DispatchableRecord(id);
   if (!record.ok()) return record.status();
   std::lock_guard endpoint_lock((*record)->endpoint_mutex);
-  agent::UpdateAgent& agent = *(*record)->agent;
-  // A crashed apply must roll back before the base is read, or the
-  // patch would target an unproven image the recovery is about to undo.
-  if (agent.NeedsRecovery()) {
-    ERIC_RETURN_IF_ERROR(agent.Recover());
-    if (meta != nullptr) meta->crash_recovered = true;
-  }
-  std::span<const uint8_t> base = agent.active_image();
-  if (base.empty()) {
-    // Same code as a corrupt patch: either way the device cannot turn
-    // this delta into a runnable image, and the sender must fall back
-    // to a full package.
-    return Status(ErrorCode::kCorruptPackage,
-                  "device retains no base image to patch");
-  }
-  auto patched = pkg::ApplyDelta(base, delta_bytes);
-  if (!patched.ok()) return patched.status();
-  return AgentApplyLocked(**record, *patched, arg0, arg1, meta);
+  return DeliverLocked(**record, delta_bytes, true, arg0, arg1, meta);
 }
 
 Result<AgentInspection> DeviceRegistry::InspectAgent(DeviceId id) {

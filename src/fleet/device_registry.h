@@ -89,11 +89,11 @@ struct DeliveryManifest {
   isa::IsaId isa = isa::IsaId::kRv64Gc;
 };
 
-/// Per-dispatch metadata between the deployment engine and the device's
-/// update agent. The in-fields label the delivered image in the agent's
-/// slot manifest; the out-fields report what the agent's state machine
-/// did, so the engine can account rollbacks and apply the delta
-/// fallback's retry-budget rule to post-delivery health failures.
+/// Per-dispatch metadata between the deployment engine and the device.
+/// The in-fields label the delivered image in the agent's slot manifest;
+/// the out-fields report what the device's HDE and update agent decided,
+/// so the engine can account rejections and rollbacks and apply the
+/// delta fallback's retry-budget rule to post-delivery vetoes.
 struct DispatchMeta {
   // -- in --
   /// Program-version fingerprint of the delivered build (0 when the
@@ -102,11 +102,16 @@ struct DispatchMeta {
   /// SHA-256 fingerprint of the sealing key the image was built under.
   crypto::Sha256Digest key_fingerprint{};
   // -- out --
-  /// The agent undid a flip (post-apply health failure, or a crashed
+  /// The device's HDE refused the delivered image (corrupt, forged, or
+  /// sealed for another key, epoch or ISA). Nothing was staged or
+  /// persisted, and the agent never saw the image.
+  bool rejected = false;
+  /// The agent undid a flip (post-apply self-test failure, or a crashed
   /// apply rolled back during recovery).
   bool rolled_back = false;
-  /// The post-apply health check rejected the image after a clean
-  /// stage/verify/flip — the delivery itself succeeded.
+  /// The device vetoed an image that reached it whole: its HDE refused
+  /// it (`rejected` is set too), or the agent flipped to it and the
+  /// post-apply self-test failed. The delta fallback treats both alike.
   bool health_failed = false;
   /// An apply interrupted by an (injected or real) crash was recovered
   /// before this dispatch proceeded.
@@ -296,14 +301,16 @@ class DeviceRegistry {
   /// the order a recovered fleet reconstructs campaigns against.
   std::vector<DeviceId> AllDevices() const;
 
-  /// Delivers wire bytes to the device's update agent, which applies
-  /// them through its staged A/B-slot state machine: stage into the
-  /// inactive slot, verify CRC, flip the active slot, then health-check
-  /// via the endpoint (HDE validation + a short sim run). A failed
-  /// health check rolls back to the previous slot automatically. Fails
-  /// with kFailedPrecondition for revoked devices. On success the
-  /// active slot holds the delivered image — durably, when storage is
-  /// attached — as the base for future delta deliveries.
+  /// Delivers wire bytes to the device. Its HDE decrypts and validates
+  /// them first; an image the HDE refuses fails with the HDE's status
+  /// (`meta->rejected`) and never reaches the update agent. An accepted
+  /// image is applied through the agent's A/B-slot state machine: stage
+  /// into the inactive slot, flip, then self-test by running the
+  /// validated plaintext. A failed self-test rolls back to the previous
+  /// slot automatically. Fails with kFailedPrecondition for revoked
+  /// devices. On success the active slot holds the delivered image —
+  /// durably, when storage is attached — as the base for future delta
+  /// deliveries.
   Result<core::TrustedRunResult> Dispatch(DeviceId id,
                                           std::span<const uint8_t> wire_bytes,
                                           uint64_t arg0 = 0,
@@ -311,8 +318,8 @@ class DeviceRegistry {
                                           DispatchMeta* meta = nullptr);
 
   /// Delivers a delta package: the device applies `delta_bytes` to its
-  /// agent's active slot image, then stages/verifies/flips/health-checks
-  /// the patched image exactly as a full delivery. Fails closed with
+  /// agent's active slot image, then validates and applies the patched
+  /// image exactly as a full delivery. Fails closed with
   /// kCorruptPackage — no partial image, nothing executed — when the
   /// agent holds no active slot (fresh enrollment, or a device whose
   /// slot manifest was lost), when the delta's base CRC does not match
@@ -442,12 +449,13 @@ class DeviceRegistry {
   Result<DeviceRecord*> DispatchableRecord(DeviceId id);
   /// Looks up any record (revoked included) for agent inspection.
   Result<DeviceRecord*> AnyRecord(DeviceId id);
-  /// Runs one staged agent apply on a record whose endpoint mutex the
-  /// caller holds: recovery of an interrupted apply, the agent state
-  /// machine, and the endpoint health run. Fills `meta` out-fields.
-  Result<core::TrustedRunResult> AgentApplyLocked(
-      DeviceRecord& record, std::span<const uint8_t> image, uint64_t arg0,
-      uint64_t arg1, DispatchMeta* meta);
+  /// One delivery on a record whose endpoint mutex the caller holds:
+  /// recovery of an interrupted apply, the delta patch (when `as_delta`),
+  /// the HDE verdict, then the agent apply with the validated run as its
+  /// self-test. Fills `meta` out-fields.
+  Result<core::TrustedRunResult> DeliverLocked(
+      DeviceRecord& record, std::span<const uint8_t> bytes, bool as_delta,
+      uint64_t arg0, uint64_t arg1, DispatchMeta* meta);
 
   Shard& ShardFor(DeviceId id) { return *shards_[ShardIndex(id)]; }
   const Shard& ShardFor(DeviceId id) const { return *shards_[ShardIndex(id)]; }

@@ -53,9 +53,8 @@ std::vector<uint8_t> Channel::Deliver(std::vector<uint8_t> bytes) {
   // receiving device's job, and the *dispatch* span reports it.
   obs::ScopedSpan span("channel");
   const auto wire_start = std::chrono::steady_clock::now();
-  DeliveryRecord record;
-  record.fault = config_.fault;
-  record.bytes_in = bytes.size();
+  const size_t bytes_in = bytes.size();
+  uint64_t mutations = 0;  // bytes/bits changed in flight
 
   switch (config_.fault) {
     case ChannelFault::kNone:
@@ -65,7 +64,7 @@ std::vector<uint8_t> Channel::Deliver(std::vector<uint8_t> bytes) {
         const size_t byte = rng_.NextBounded(bytes.size());
         const uint8_t bit = static_cast<uint8_t>(1u << rng_.NextBounded(8));
         bytes[byte] ^= bit;
-        ++record.mutations;
+        ++mutations;
       }
       break;
     }
@@ -81,14 +80,14 @@ std::vector<uint8_t> Channel::Deliver(std::vector<uint8_t> bytes) {
         for (size_t i = 0; i < window; ++i) {
           bytes[config_.patch_offset + i] = config_.patch_value;
         }
-        record.mutations = window;
+        mutations = window;
       }
       break;
     }
     case ChannelFault::kTruncate: {
       const size_t drop = std::min(config_.truncate_bytes, bytes.size());
       bytes.resize(bytes.size() - drop);
-      record.mutations = drop;
+      mutations = drop;
       break;
     }
     case ChannelFault::kInstructionPatch: {
@@ -104,7 +103,7 @@ std::vector<uint8_t> Channel::Deliver(std::vector<uint8_t> bytes) {
         for (size_t i = 0; i < window; ++i) {
           bytes[config_.patch_offset + i] = injected[i];
         }
-        record.mutations = window;
+        mutations = window;
       }
       break;
     }
@@ -119,37 +118,24 @@ std::vector<uint8_t> Channel::Deliver(std::vector<uint8_t> bytes) {
       doubled.insert(doubled.end(), bytes.begin(), bytes.end());
       doubled.insert(doubled.end(), bytes.begin(), bytes.end());
       bytes = std::move(doubled);
-      record.mutations = n;
+      mutations = n;
       break;
     }
   }
-  record.bytes_out = bytes.size();
   ChannelMetrics& metrics = ChannelMetrics::Get();
   metrics.deliveries.Add();
-  if (record.mutations > 0) {
+  if (mutations > 0) {
     metrics.faults.Add();
     obs::EmitEvent(obs::EventSeverity::kWarn, "net",
-                   "channel fault " + std::string(ChannelFaultName(record.fault)) +
-                       " mutated " + std::to_string(record.mutations) +
+                   "channel fault " +
+                       std::string(ChannelFaultName(config_.fault)) +
+                       " mutated " + std::to_string(mutations) +
                        " unit(s) in flight",
                    0, obs::CurrentTraceId());
   }
-  metrics.bytes_in.Add(record.bytes_in);
-  metrics.bytes_out.Add(record.bytes_out);
+  metrics.bytes_in.Add(bytes_in);
+  metrics.bytes_out.Add(bytes.size());
   metrics.rtt_us.Record(MicrosecondsSince(wire_start));
-  totals_.deliveries += 1;
-  if (record.mutations > 0) totals_.faulted += 1;
-  totals_.bytes_in += record.bytes_in;
-  totals_.bytes_out += record.bytes_out;
-  totals_.mutations += record.mutations;
-  if (log_.size() == kLogCapacity) {
-    // Bounded ring: evict the oldest record (the cap is small, so the
-    // erase is a trivial memmove) instead of growing for the lifetime
-    // of a long-lived daemon. totals_ keeps the evicted accounting.
-    log_.erase(log_.begin());
-    ++dropped_records_;
-  }
-  log_.push_back(record);
   return bytes;
 }
 

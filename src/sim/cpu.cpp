@@ -576,6 +576,9 @@ void Cpu::RunLoop(ExecStats& out, uint64_t max_instructions) {
 }
 
 ExecStats Cpu::Run(const ExecLimits& limits) {
+  // The caches count over their lifetime; this run reports its own share.
+  const CacheStats icache_before = icache_.stats();
+  const CacheStats dcache_before = dcache_.stats();
   ExecStats stats;
   if (rv32_) {
     RunLoop<true>(stats, limits.max_instructions);
@@ -586,8 +589,10 @@ ExecStats Cpu::Run(const ExecLimits& limits) {
   stats.halt_reason = halt_;
   stats.exit_code = exit_code_;
   stats.final_pc = pc_;
-  stats.icache = icache_.stats();
-  stats.dcache = dcache_.stats();
+  stats.icache = {icache_.stats().hits - icache_before.hits,
+                  icache_.stats().misses - icache_before.misses};
+  stats.dcache = {dcache_.stats().hits - dcache_before.hits,
+                  dcache_.stats().misses - dcache_before.misses};
   return stats;
 }
 

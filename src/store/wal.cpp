@@ -31,7 +31,7 @@ constexpr uint32_t kMaxPayload = 64u << 20;
 // Process-wide WAL telemetry, aggregated across every Wal instance
 // (journal, registry store, epoch journal — the per-stream split is not
 // worth per-instance registration). store_wal_append_us is the
-// client-observed append latency including any group-commit wait;
+// client-observed append latency including its fsync;
 // store_wal_fsync_us times the fsync syscall alone.
 struct WalMetrics {
   obs::Counter& appends;
@@ -97,7 +97,6 @@ std::string_view SyncModeName(SyncMode mode) {
   switch (mode) {
     case SyncMode::kNever: return "never";
     case SyncMode::kEveryAppend: return "every-append";
-    case SyncMode::kGroupCommit: return "group-commit";
   }
   return "unknown";
 }
@@ -111,7 +110,6 @@ Status Wal::Open(const std::string& path, const WalOptions& options,
   }
   options_ = options;
   written_seq_ = 0;
-  synced_seq_ = 0;
   end_offset_ = kHeaderSize;
   poisoned_ = false;
 
@@ -185,7 +183,6 @@ Status Wal::Append(uint8_t type, std::span<const uint8_t> payload) {
             frame.data() + 5);
   std::copy(payload.begin(), payload.end(), frame.begin() + kFrameHeaderSize);
 
-  uint64_t my_seq = 0;
   {
     std::lock_guard lock(write_mutex_);
     if (poisoned_.load(std::memory_order_acquire)) {
@@ -206,7 +203,7 @@ Status Wal::Append(uint8_t type, std::span<const uint8_t> payload) {
       return wrote;
     }
     end_offset_ += frame.size();
-    my_seq = ++written_seq_;
+    ++written_seq_;
   }
 
   Status result = Status::Ok();
@@ -225,12 +222,9 @@ Status Wal::Append(uint8_t type, std::span<const uint8_t> payload) {
                         "wal poisoned by an fsync failure");
       }
       break;
-    case SyncMode::kGroupCommit:
-      result = SyncLocked(my_seq);
-      break;
   }
   // Client-observed append latency: frame write plus whatever the sync
-  // mode cost (nothing, a private fsync, or a group-commit wait).
+  // mode cost (nothing, or a private fsync).
   metrics.appends.Add();
   metrics.append_bytes.Add(frame.size());
   metrics.append_us.Record(MicrosecondsSince(append_start));
@@ -243,8 +237,8 @@ void Wal::Poison() {
   // error covered (the fsyncgate lesson): the on-disk tail is unknowable
   // and cannot be rolled back record by record — other threads' frames
   // may sit after ours. Refuse every further append and every pending
-  // group-commit acknowledgment (a retried fsync on the same fd can
-  // spuriously succeed because the kernel already consumed the error);
+  // acknowledgment (a retried fsync on the same fd can spuriously
+  // succeed because the kernel already consumed the error);
   // recovery replays whatever proves durable, and idempotent client
   // replay absorbs a record whose failure was reported to the caller.
   if (!poisoned_.exchange(true, std::memory_order_release)) {
@@ -257,57 +251,9 @@ void Wal::Poison() {
   }
 }
 
-Status Wal::SyncLocked(uint64_t my_seq) {
-  std::unique_lock lock(sync_mutex_);
-  while (synced_seq_ < my_seq) {
-    // A record not yet covered by a *successful* fsync must not be
-    // acknowledged once the log is poisoned — retrying the fsync could
-    // "succeed" without the data being on disk.
-    if (poisoned_.load(std::memory_order_acquire)) {
-      return Status(ErrorCode::kInternal,
-                    "wal poisoned by an fsync failure");
-    }
-    if (!sync_in_progress_) {
-      // Become the batch leader: one fsync covers every record written
-      // before it.
-      sync_in_progress_ = true;
-      lock.unlock();
-      uint64_t covered = 0;
-      {
-        std::lock_guard write_lock(write_mutex_);
-        covered = written_seq_;
-      }
-      const bool ok = TimedFsync(fd_) == 0;
-      if (!ok) Poison();
-      lock.lock();
-      sync_in_progress_ = false;
-      if (!ok) {
-        sync_cv_.notify_all();
-        return Status(ErrorCode::kInternal, "wal fsync failed");
-      }
-      synced_seq_ = std::max(synced_seq_, covered);
-      sync_cv_.notify_all();
-    } else {
-      sync_cv_.wait(lock, [&] {
-        return synced_seq_ >= my_seq || !sync_in_progress_;
-      });
-    }
-  }
-  return Status::Ok();
-}
-
 Status Wal::Sync() {
   if (fd_ < 0) {
     return Status(ErrorCode::kFailedPrecondition, "wal not open");
-  }
-  // Snapshot the covered sequence BEFORE the fsync: records appended
-  // while the fsync runs are not covered by it, and claiming they were
-  // would let a concurrent group-commit waiter return without
-  // durability.
-  uint64_t covered = 0;
-  {
-    std::lock_guard write_lock(write_mutex_);
-    covered = written_seq_;
   }
   if (TimedFsync(fd_) != 0) {
     Poison();
@@ -316,8 +262,6 @@ Status Wal::Sync() {
   if (poisoned_.load(std::memory_order_acquire)) {
     return Status(ErrorCode::kInternal, "wal poisoned by an fsync failure");
   }
-  std::lock_guard lock(sync_mutex_);
-  synced_seq_ = std::max(synced_seq_, covered);
   return Status::Ok();
 }
 
@@ -325,7 +269,7 @@ Status Wal::TruncateAll() {
   if (fd_ < 0) {
     return Status(ErrorCode::kFailedPrecondition, "wal not open");
   }
-  std::scoped_lock lock(write_mutex_, sync_mutex_);
+  std::lock_guard lock(write_mutex_);
   if (::ftruncate(fd_, static_cast<off_t>(kHeaderSize)) != 0) {
     return Status(ErrorCode::kInternal, "wal truncate failed");
   }

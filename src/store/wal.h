@@ -14,12 +14,9 @@
 //             good record, and reports what was dropped — recovery never
 //             propagates bytes that were not durably framed.
 //
-// Group commit: with SyncMode::kGroupCommit, concurrent appenders share
-// fsyncs. The first waiter becomes the batch leader, optionally sleeps a
-// configurable window to gather more writes, then issues one fsync that
-// covers every record written before it; followers just wait for the
-// leader's sync to cover their sequence number. bench_store measures what
-// the window buys at several settings.
+// Durability: under SyncMode::kEveryAppend (the default) each appender
+// fsyncs its own record after writing it, outside the write lock, so
+// concurrent appenders' fsyncs overlap in the kernel.
 //
 // File layout:
 //
@@ -36,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <condition_variable>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,8 +53,7 @@ uint32_t Crc32Extend(uint32_t crc, std::span<const uint8_t> data);
 /// When an Append becomes durable.
 enum class SyncMode : uint8_t {
   kNever,        ///< never fsync (OS page cache only; fastest, weakest)
-  kEveryAppend,  ///< fsync per record (strongest, serializes appenders)
-  kGroupCommit,  ///< one fsync covers every record of a concurrent batch
+  kEveryAppend,  ///< fsync per record before Append() returns
 };
 
 /// Stable display name of a SyncMode.
@@ -66,10 +61,8 @@ std::string_view SyncModeName(SyncMode mode);
 
 /// Durability policy for one log.
 struct WalOptions {
-  /// Sync policy applied by Append(). Under kGroupCommit the batch
-  /// leader fsyncs at once; batching emerges from fsync latency, since
-  /// writers that arrive mid-fsync join the next batch.
-  SyncMode sync = SyncMode::kGroupCommit;
+  /// Sync policy applied by Append().
+  SyncMode sync = SyncMode::kEveryAppend;
 };
 
 /// One replayed record: the type tag and payload exactly as appended.
@@ -135,7 +128,6 @@ class Wal {
       uint64_t fingerprint = 0);
 
  private:
-  Status SyncLocked(uint64_t my_seq);
   /// Marks the log unusable after a failed fsync (the on-disk tail is
   /// unknowable); every further append is refused until TruncateAll or
   /// reopen re-establishes a known tail.
@@ -153,16 +145,9 @@ class Wal {
   uint64_t end_offset_ = 0;
   /// Set when a failed write could not be rolled back or an fsync
   /// failed: the file tail (or its durability) is unknown, so every
-  /// further append — and every pending group-commit acknowledgment —
-  /// is refused. Atomic: group-commit waiters check it lock-free.
+  /// further append — and every pending acknowledgment — is refused.
+  /// Atomic: appenders check it after their fsync, outside the lock.
   std::atomic<bool> poisoned_{false};
-
-  /// Group-commit state: the leader fsyncs, followers wait until
-  /// synced_seq_ covers their record.
-  std::mutex sync_mutex_;
-  std::condition_variable sync_cv_;
-  uint64_t synced_seq_ = 0;
-  bool sync_in_progress_ = false;
 };
 
 }  // namespace eric::store

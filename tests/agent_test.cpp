@@ -15,6 +15,8 @@
 
 #include "agent/update_agent.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
+#include "store/record_io.h"
 #include "store/wal.h"
 #include "support/rng.h"
 
@@ -103,15 +105,14 @@ TEST(UpdateAgentTest, SecondApplyUsesOtherSlotAndKeepsPreviousImage) {
   EXPECT_EQ(state.counters.applies, 2u);
 }
 
-// Crash injection at every apply phase, starting from BOTH slot
+// Crash injection at every crash point, starting from BOTH slot
 // parities: an interrupted apply must never cost the device its running
-// image. Pre-flip crashes discard the staged slot; post-flip crashes
-// roll back to the previous slot. Either way a fresh agent (the reboot)
-// recovers to the same healthy image that was active before the apply.
+// image. The flip's manifest write is the apply's first, so every
+// durable crash is post-flip and rolls back to the previous slot; a
+// fresh agent (the reboot) recovers to the same healthy image that was
+// active before the apply.
 TEST(UpdateAgentTest, CrashAtEveryPhaseBothSlotsRecoversOldImage) {
-  const CrashPoint kPoints[] = {CrashPoint::kAfterStage,
-                                CrashPoint::kAfterVerify,
-                                CrashPoint::kAfterFlip,
+  const CrashPoint kPoints[] = {CrashPoint::kAfterFlip,
                                 CrashPoint::kDuringHealth};
   for (const CrashPoint point : kPoints) {
     for (int parity = 0; parity < 2; ++parity) {
@@ -151,14 +152,112 @@ TEST(UpdateAgentTest, CrashAtEveryPhaseBothSlotsRecoversOldImage) {
       EXPECT_EQ(state.active_slot, parity);
       EXPECT_EQ(state.slots[parity].version, good_version);
       EXPECT_EQ(state.counters.crash_recoveries, 1u);
-      const bool flipped = point == CrashPoint::kAfterFlip ||
-                           point == CrashPoint::kDuringHealth;
-      EXPECT_EQ(state.counters.rollbacks, flipped ? 1u : 0u);
+      EXPECT_EQ(state.counters.rollbacks, 1u);
 
       // The recovered device is fully serviceable: the next apply lands.
       ASSERT_TRUE(rebooted.Apply(next, 9, KeyFp(3), HealthyCheck).ok());
       ExpectHealthyActive(rebooted, next);
     }
+  }
+}
+
+uint64_t ManifestWrites() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("agent_manifest_writes")
+      .value();
+}
+
+// The durable protocol's cost: a successful apply writes the slot
+// manifest twice (flip, commit), a self-test failure twice (flip,
+// rollback), and a memory-only agent never.
+TEST(UpdateAgentTest, SuccessfulApplyWritesManifestTwice) {
+  const std::string dir = MakeTempDir("writes");
+  UpdateAgent agent(12, dir + "/slots-12.bin");
+  ASSERT_TRUE(agent.Recover().ok());
+  uint64_t before = ManifestWrites();
+  ASSERT_TRUE(agent.Apply(Image(1, 700), 1, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(ManifestWrites() - before, 2u);
+  before = ManifestWrites();
+  ASSERT_TRUE(agent.Apply(Image(2, 720), 2, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(ManifestWrites() - before, 2u);
+
+  agent.ArmHealthFailures(1);
+  before = ManifestWrites();
+  ASSERT_FALSE(agent.Apply(Image(3, 740), 3, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(ManifestWrites() - before, 2u);
+
+  UpdateAgent memory_only(13, "");
+  before = ManifestWrites();
+  ASSERT_TRUE(
+      memory_only.Apply(Image(4, 700), 1, KeyFp(1), HealthyCheck).ok());
+  EXPECT_EQ(ManifestWrites() - before, 0u);
+}
+
+// A flip whose manifest write fails changes nothing: the device keeps
+// running its old image and needs no recovery.
+TEST(UpdateAgentTest, FailedFlipPersistKeepsOldImage) {
+  const std::string dir = MakeTempDir("flip-fail");
+  UpdateAgent agent(14, dir + "/state/slots-14.bin");
+  fs::create_directories(dir + "/state");
+  const auto good = Image(1, 600);
+  ASSERT_TRUE(agent.Apply(good, 1, KeyFp(1), HealthyCheck).ok());
+  fs::remove_all(dir + "/state");  // the manifest can no longer be written
+  ASSERT_FALSE(agent.Apply(Image(2, 610), 2, KeyFp(1), HealthyCheck).ok());
+  EXPECT_FALSE(agent.NeedsRecovery());
+  ExpectHealthyActive(agent, good);
+  EXPECT_EQ(agent.state().counters.persist_failures, 1u);
+}
+
+// Older agents persisted the pre-flip phases kStaged and kVerified. A
+// manifest they left mid-apply must still recover: the staged image is
+// discarded and the old active image stays.
+TEST(UpdateAgentTest, PreFlipPhaseFromOlderManifestRecoversOldImage) {
+  const auto good = Image(300, 800);
+  const auto staged = Image(301, 820);
+  for (const ApplyPhase phase : {ApplyPhase::kStaged, ApplyPhase::kVerified}) {
+    SCOPED_TRACE(std::string(ApplyPhaseName(phase)));
+    const std::string dir = MakeTempDir("old-phase");
+    const std::string manifest = dir + "/slots-15.bin";
+    // The slot-manifest layout of docs/agent.md, schema 1: active 0,
+    // no previous slot, slot 1 staged.
+    store::RecordWriter rec;
+    rec.U32(1);
+    rec.U64(15);
+    rec.U8(0);
+    rec.U8(0xFF);
+    rec.U8(1);
+    rec.U8(static_cast<uint8_t>(phase));
+    for (const uint64_t counter : {1, 0, 0, 0, 0}) rec.U64(counter);
+    for (const auto* image : {&good, &staged}) {
+      rec.U8(1);
+      rec.U64(image == &good ? 5 : 6);
+      rec.Bytes(KeyFp(3));
+      rec.U32(store::Crc32(*image));
+      rec.Bytes(*image);
+    }
+    const std::vector<uint8_t> payload = rec.Take();
+    std::vector<uint8_t> file(24);
+    std::memcpy(file.data(), "ERICSLT1", 8);
+    store::StoreLe64(15, file.data() + 8);
+    store::StoreLe32(store::Crc32(payload), file.data() + 16);
+    store::StoreLe32(static_cast<uint32_t>(payload.size()), file.data() + 20);
+    file.insert(file.end(), payload.begin(), payload.end());
+    {
+      std::ofstream out(manifest, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(file.data()),
+                static_cast<std::streamsize>(file.size()));
+    }
+
+    UpdateAgent rebooted(15, manifest);
+    ASSERT_TRUE(rebooted.Recover().ok());
+    ExpectHealthyActive(rebooted, good);
+    const AgentState state = rebooted.state();
+    EXPECT_EQ(state.active_slot, 0);
+    EXPECT_FALSE(state.slots[1].present);
+    EXPECT_EQ(state.counters.crash_recoveries, 1u);
+    EXPECT_EQ(state.counters.rollbacks, 0u);
+    ASSERT_TRUE(rebooted.Apply(staged, 6, KeyFp(3), HealthyCheck).ok());
+    ExpectHealthyActive(rebooted, staged);
   }
 }
 
@@ -340,7 +439,7 @@ TEST(UpdateAgentTest, SeededChaosAppliesKeepActiveSlotValid) {
     const auto fp = KeyFp(static_cast<uint8_t>(1 + rng.NextBounded(4)));
     const uint64_t draw = rng.NextBounded(6);
     if (draw < 2) {  // 2/6: crash at a random phase
-      agent.ArmCrash(static_cast<CrashPoint>(1 + rng.NextBounded(4)));
+      agent.ArmCrash(static_cast<CrashPoint>(1 + rng.NextBounded(2)));
     } else if (draw == 2) {  // 1/6: health rejection
       agent.ArmHealthFailures(1);
     }

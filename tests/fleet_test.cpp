@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #include "fleet/deployment_engine.h"
 #include "fleet/rotation_campaign.h"
 #include "net/channel.h"
+#include "obs/metrics.h"
 #include "pkg/delta.h"
 #include "workloads/workloads.h"
 
@@ -1796,6 +1798,91 @@ TEST(AgentFleetTest, HealthFailureOnFullPathConsumesBudgetAsRetry) {
   ASSERT_TRUE(retried.ok());
   EXPECT_TRUE(retried->outcomes[0].ok);
   EXPECT_EQ(retried->outcomes[0].attempts, 2u);
+}
+
+// Wire corruption is an HDE rejection, not a device self-test failure:
+// the corrupted image never reaches the agent, so a bit-flip campaign
+// rolls nothing back, and every retry it needed is a rejection.
+TEST(AgentFleetTest, BitflipCampaignReportsRejectionsNotRollbacks) {
+  GroupId group;
+  FleetFixture fleet(16, &group);
+  DeploymentEngine engine(fleet.registry, fleet.cache);
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.group = group;
+  campaign.workers = 4;
+  campaign.max_attempts = 8;
+  campaign.channel.fault = net::ChannelFault::kRandomBitFlips;
+  campaign.fault_rate = 0.2;
+  auto report = engine.Run(campaign);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->succeeded, 16u);
+  EXPECT_GT(report->retries, 0u);
+  EXPECT_EQ(report->rejections, report->retries);
+  EXPECT_EQ(report->rollbacks, 0u);
+  EXPECT_EQ(report->health_failures, 0u);
+  for (const DeviceOutcome& outcome : report->outcomes) {
+    EXPECT_EQ(outcome.rejected, outcome.attempts > 1);
+    auto inspection = fleet.registry.InspectAgent(outcome.device);
+    ASSERT_TRUE(inspection.ok());
+    EXPECT_EQ(inspection->state.counters.applies, 1u);
+    EXPECT_EQ(inspection->state.counters.rollbacks, 0u);
+  }
+}
+
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+// Validate before stage, on durable storage: a delivered update costs
+// exactly two slot-manifest writes (flip and commit), and an image the
+// HDE refuses costs none — the manifest file stays byte-identical.
+TEST(AgentFleetTest, HdeRejectionLeavesSlotManifestUntouched) {
+  const std::string dir = MakeAgentTempDir("reject");
+  DeviceRegistry registry;
+  ASSERT_TRUE(registry.OpenStorage(dir).ok());
+  auto device = registry.Enroll(0x4E1EC7);
+  ASSERT_TRUE(device.ok());
+  PackageCache cache;
+  DeploymentEngine engine(registry, cache);
+  CampaignConfig campaign;
+  campaign.source = kTinyProgram;
+  campaign.devices = {*device};
+  campaign.workers = 1;
+  campaign.max_attempts = 1;
+  obs::Counter& writes =
+      obs::MetricsRegistry::Global().GetCounter("agent_manifest_writes");
+
+  uint64_t before = writes.value();
+  auto delivered = engine.Run(campaign);
+  ASSERT_TRUE(delivered.ok());
+  ASSERT_EQ(delivered->succeeded, 1u);
+  EXPECT_EQ(writes.value() - before, 2u);
+  const std::string manifest =
+      dir + "/agent/slots-" + std::to_string(*device) + ".bin";
+  const std::vector<char> pristine = ReadFileBytes(manifest);
+  ASSERT_FALSE(pristine.empty());
+
+  campaign.channel.fault = net::ChannelFault::kTruncate;
+  campaign.fault_rate = 1.0;  // every delivery arrives truncated
+  before = writes.value();
+  auto rejected = engine.Run(campaign);
+  ASSERT_TRUE(rejected.ok());
+  const DeviceOutcome& outcome = rejected->outcomes[0];
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_TRUE(outcome.rejected);
+  EXPECT_FALSE(outcome.rolled_back);
+  EXPECT_FALSE(outcome.health_failed);
+  EXPECT_EQ(rejected->rejections, 1u);
+  EXPECT_EQ(writes.value() - before, 0u);
+  EXPECT_EQ(ReadFileBytes(manifest), pristine);
+  auto inspection = registry.InspectAgent(*device);
+  ASSERT_TRUE(inspection.ok());
+  EXPECT_EQ(inspection->state.counters.applies, 1u);
+  EXPECT_EQ(inspection->state.counters.rollbacks, 0u);
+  EXPECT_EQ(inspection->state.counters.health_failures, 0u);
 }
 
 // --- Heterogeneous fleets (per-device ISA) ----------------------------------

@@ -21,11 +21,21 @@
 namespace eric::net {
 namespace {
 
+// Bytes that differ between a channel's input and what it delivered
+// (over the common prefix; callers compare sizes separately).
+size_t ChangedBytes(const std::vector<uint8_t>& sent,
+                    const std::vector<uint8_t>& delivered) {
+  size_t changed = 0;
+  for (size_t i = 0; i < std::min(sent.size(), delivered.size()); ++i) {
+    if (sent[i] != delivered[i]) ++changed;
+  }
+  return changed;
+}
+
 TEST(ChannelTest, FaithfulDeliveryByDefault) {
   Channel channel;
   const std::vector<uint8_t> bytes = {1, 2, 3, 4, 5};
   EXPECT_EQ(channel.Deliver(bytes), bytes);
-  EXPECT_EQ(channel.log().back().mutations, 0u);
 }
 
 TEST(ChannelTest, BitFlipsChangeExactlyNBits) {
@@ -65,13 +75,14 @@ TEST(ChannelTest, BytePatchStraddlingTailClampsAndCountsOverlap) {
   config.patch_length = 4;
   config.patch_value = 0xAB;
   Channel channel(config);
-  const auto delivered = channel.Deliver(std::vector<uint8_t>(16, 0));
+  const std::vector<uint8_t> original(16, 0);
+  const auto delivered = channel.Deliver(original);
   ASSERT_EQ(delivered.size(), 16u);
   EXPECT_EQ(delivered[13], 0x00);
   EXPECT_EQ(delivered[14], 0xAB);
   EXPECT_EQ(delivered[15], 0xAB);
-  // The record reports the bytes actually mutated, not the nominal window.
-  EXPECT_EQ(channel.log().back().mutations, 2u);
+  // Only the overlap is mutated, not the nominal window.
+  EXPECT_EQ(ChangedBytes(original, delivered), 2u);
 }
 
 TEST(ChannelTest, PatchAtOrPastTailMutatesNothing) {
@@ -86,7 +97,6 @@ TEST(ChannelTest, PatchAtOrPastTailMutatesNothing) {
       const std::vector<uint8_t> original(16, 0);
       EXPECT_EQ(channel.Deliver(original), original)
           << ChannelFaultName(fault) << " offset " << offset;
-      EXPECT_EQ(channel.log().back().mutations, 0u);
     }
   }
 }
@@ -105,7 +115,6 @@ TEST(ChannelTest, PatchOffsetNearSizeMaxDoesNotWrapOntoPrefix) {
     Channel channel(config);
     const std::vector<uint8_t> original(16, 0);
     EXPECT_EQ(channel.Deliver(original), original) << ChannelFaultName(fault);
-    EXPECT_EQ(channel.log().back().mutations, 0u);
   }
 }
 
@@ -114,11 +123,12 @@ TEST(ChannelTest, InstructionPatchStraddlingTailClampsAndCountsOverlap) {
   config.fault = ChannelFault::kInstructionPatch;
   config.patch_offset = 15;  // one byte of the 4-byte instruction fits
   Channel channel(config);
-  const auto delivered = channel.Deliver(std::vector<uint8_t>(16, 0xFF));
+  const std::vector<uint8_t> original(16, 0xFF);
+  const auto delivered = channel.Deliver(original);
   ASSERT_EQ(delivered.size(), 16u);
   EXPECT_EQ(delivered[14], 0xFF);
   EXPECT_EQ(delivered[15], 0x13);  // first injected byte only
-  EXPECT_EQ(channel.log().back().mutations, 1u);
+  EXPECT_EQ(ChangedBytes(original, delivered), 1u);
 }
 
 TEST(ChannelTest, TruncateDropsTail) {
@@ -142,23 +152,6 @@ TEST(ChannelTest, EveryFaultHasName) {
   }
 }
 
-TEST(ChannelTest, LogBoundedWithDropCounterAndTotals) {
-  // Regression: a long-lived channel (the listen-mode daemon, soak runs)
-  // must not grow its delivery log without bound. The ring keeps the
-  // newest kLogCapacity records; totals() keep the full accounting.
-  Channel channel;
-  const size_t extra = 10;
-  for (size_t i = 0; i < Channel::kLogCapacity + extra; ++i) {
-    channel.Deliver({1, 2, 3});
-  }
-  EXPECT_EQ(channel.log().size(), Channel::kLogCapacity);
-  EXPECT_EQ(channel.dropped_records(), extra);
-  EXPECT_EQ(channel.totals().deliveries, Channel::kLogCapacity + extra);
-  EXPECT_EQ(channel.totals().bytes_in, 3 * (Channel::kLogCapacity + extra));
-  EXPECT_EQ(channel.totals().bytes_out, 3 * (Channel::kLogCapacity + extra));
-  EXPECT_EQ(channel.totals().faulted, 0u);
-}
-
 TEST(ChannelTest, DuplicateOfLargeBodyIsExactConcatenation) {
   // Regression: kDuplicate used to insert the body into itself, which
   // reads from the vector being reallocated once the body is large
@@ -175,7 +168,6 @@ TEST(ChannelTest, DuplicateOfLargeBodyIsExactConcatenation) {
   EXPECT_TRUE(std::equal(body.begin(), body.end(), delivered.begin()));
   EXPECT_TRUE(
       std::equal(body.begin(), body.end(), delivered.begin() + body.size()));
-  EXPECT_EQ(channel.log().back().mutations, body.size());
 }
 
 // --- Frame codec ---------------------------------------------------------------

@@ -658,6 +658,30 @@ TEST(FastPathTest, EveryKernelMatchesGoldenExecStats) {
   EXPECT_EQ(runs, std::size(kGoldenRuns));
 }
 
+// ExecStats are per run, the cache counts included: a second Run on the
+// same Soc reports its own fetches, not the caches' lifetime totals.
+TEST(FastPathTest, SecondRunOnOneSocReportsOnlyItsOwnCacheStats) {
+  const auto& all = workloads::AllWorkloads();
+  const auto bitcount = std::find_if(all.begin(), all.end(), [](const auto& w) {
+    return w.name == "bitcount";
+  });
+  ASSERT_NE(bitcount, all.end());
+  auto compiled = compiler::Compile(bitcount->source, {});
+  ASSERT_TRUE(compiled.ok());
+  Soc soc;
+  soc.LoadProgram(compiled->program.image);
+  const ExecStats first = soc.Run();
+  EXPECT_EQ(first.icache.accesses(), first.instructions);
+
+  ExecLimits limits;
+  limits.max_instructions = 1000;
+  const ExecStats second = soc.Run(kRamBase, 0, 0, limits);
+  EXPECT_EQ(second.instructions, 1000u);
+  // One I-cache access per fetched instruction, this run's only.
+  EXPECT_EQ(second.icache.hits + second.icache.misses, second.instructions);
+  EXPECT_LE(second.dcache.accesses(), 2 * second.instructions);
+}
+
 // I-type encoding written from the ISA field layout (an oracle independent
 // of isa::Encode32): imm[11:0] | rs1 | funct3 | rd | opcode.
 uint32_t EncodeIType(int32_t imm, uint32_t rs1, uint32_t funct3, uint32_t rd,

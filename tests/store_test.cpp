@@ -235,13 +235,13 @@ TEST(WalTest, BitFlipFailsCrcAndPoisonsTheTail) {
   EXPECT_EQ(fs::file_size(path), 16u + 13u);
 }
 
-TEST(WalTest, GroupCommitConcurrentAppendsAllDurable) {
-  const std::string path = MakeTempDir("wal-group") + "/test.wal";
+TEST(WalTest, EveryAppendConcurrentAppendsAllDurable) {
+  const std::string path = MakeTempDir("wal-concurrent") + "/test.wal";
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25;
   {
     store::WalOptions options;
-    options.sync = store::SyncMode::kGroupCommit;
+    options.sync = store::SyncMode::kEveryAppend;
     store::Wal wal;
     ASSERT_TRUE(wal.Open(path, options).ok());
     std::atomic<int> errors{0};

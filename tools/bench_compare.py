@@ -34,7 +34,6 @@ METRICS = [
     # 1; a tight relative gate on a ~0.8 baseline would flag normal host
     # noise, so this one gets the generous threshold.
     ("BENCH_store.json", "recovery_max_ratio", "lower", 60.0),
-    ("BENCH_store.json", "group_commit_speedup", "higher", 60.0),
     # Rotation: the targeted-invalidation fraction is deterministic
     # (rotated group's artifacts / resident artifacts); the re-seal
     # ratio compares the rotated group's redeploy against the cold

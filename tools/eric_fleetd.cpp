@@ -303,11 +303,13 @@ void PrintReport(const fleet::ScheduledReport& report, bool verbose,
               static_cast<unsigned long long>(report.deliveries),
               static_cast<unsigned long long>(report.retries),
               static_cast<unsigned long long>(report.peak_in_flight));
-  if (report.rollbacks > 0 || report.health_failures > 0) {
+  if (report.rejections > 0 || report.rollbacks > 0 ||
+      report.health_failures > 0) {
     std::printf("agent:  %llu targets rolled back, %llu health "
-                "rejections\n",
+                "rejections, %llu rejections by the device HDE\n",
                 static_cast<unsigned long long>(report.rollbacks),
-                static_cast<unsigned long long>(report.health_failures));
+                static_cast<unsigned long long>(report.health_failures),
+                static_cast<unsigned long long>(report.rejections));
   }
   if (delta) {
     const double ratio =
@@ -553,13 +555,13 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
     if (live.empty()) break;
 
     // Deterministic chaos arming: one device power-cuts mid-apply at a
-    // random phase, another fails its next post-flip self-test. This
+    // random crash point, another fails its next post-flip self-test. This
     // guarantees every soak run exercises crash recovery and rollback
     // even if the probabilistic injection draws unluckily.
     const auto crash_victim = live[rng.NextBounded(live.size())];
     (void)registry.ArmAgentCrash(
         crash_victim,
-        static_cast<agent::CrashPoint>(1 + rng.NextBounded(4)));
+        static_cast<agent::CrashPoint>(1 + rng.NextBounded(2)));
     const auto health_victim = live[rng.NextBounded(live.size())];
     (void)registry.ArmAgentHealthFailures(health_victim, 1);
 
@@ -673,7 +675,8 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
     std::printf(
         "soak round %zu/%zu: fault=%s rate=%.2f delta=%d rotate=%s "
         "+%llu devices -%llu | %llu ok / %llu failed / %llu revoked, "
-        "%llu rollbacks, %llu health rejections, violations so far: %zu\n",
+        "%llu rejections, %llu rollbacks, %llu health rejections, "
+        "violations so far: %zu\n",
         round + 1, profile.rounds, summary.fault, summary.fault_rate,
         summary.delta ? 1 : 0,
         rotate ? std::to_string(summary.rotated_group).c_str() : "no",
@@ -682,6 +685,7 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
         static_cast<unsigned long long>(summary.deploy.succeeded),
         static_cast<unsigned long long>(summary.deploy.failed),
         static_cast<unsigned long long>(summary.deploy.revoked),
+        static_cast<unsigned long long>(summary.deploy.rejections),
         static_cast<unsigned long long>(summary.deploy.rollbacks),
         static_cast<unsigned long long>(summary.deploy.health_failures),
         violations.size());
@@ -757,6 +761,7 @@ int RunSoak(fleet::DeviceRegistry& registry, const SoakProfile& profile,
       json.Field("retries", r.deploy.retries);
       json.Field("delta_deliveries", r.deploy.delta_deliveries);
       json.Field("delta_fallbacks", r.deploy.delta_fallbacks);
+      json.Field("rejections", r.deploy.rejections);
       json.Field("rollbacks", r.deploy.rollbacks);
       json.Field("health_failures", r.deploy.health_failures);
       json.Field("rotation_ran", r.rotation_ran);
@@ -1699,6 +1704,7 @@ int main(int argc, char** argv) {
     json.Field("bytes_shipped", report.bytes_shipped);
     json.Field("bytes_full_equivalent", report.bytes_full_equivalent);
     json.Field("manifest_update_failures", report.manifest_update_failures);
+    json.Field("rejections", report.rejections);
     json.Field("rollbacks", report.rollbacks);
     json.Field("health_failures", report.health_failures);
     json.Field("cache_hits", report.cache_artifact_hits);
